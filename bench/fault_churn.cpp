@@ -4,7 +4,10 @@
 // stream — the chaos process draws from its own derived seed, so the
 // submissions are byte-identical across points — and records what the
 // recovery machinery salvaged: goodput (1 - wasted step share), MTTR,
-// completions, kills, evictions/restarts/migrations.
+// completions, kills, evictions/restarts/migrations.  A fifth arm keeps
+// the x1 rates but makes ToR losses 8x as frequent and routes by the cost
+// models, so some tenants sit on the electrical fabric when their ToR dies;
+// the run fails unless that arm migrates at least one of them.
 //
 // Determinism is part of the contract: the x1 point is served twice and
 // the run fails unless both passes agree bit-for-bit (completion order and
@@ -26,14 +29,25 @@ namespace {
 
 using namespace wrht;
 
-struct ChurnPoint {
+/// One sweep arm: every domain's rate scaled by `multiplier`, and the ToR
+/// rate additionally by `tor_weight` (1 everywhere except the ToR arm).
+struct Arm {
+  std::string label;
   double multiplier = 0.0;
+  double tor_weight = 1.0;
+  runtime::HybridPlacementPolicy placement =
+      runtime::HybridPlacementPolicy::kElectricalOverflow;
+};
+
+struct ChurnPoint {
+  Arm arm;
   runtime::RuntimeReport report;
   std::vector<runtime::JobId> completion_order;
 };
 
 workload::WorkloadConfig workload_for(std::uint64_t jobs, std::uint64_t seed,
-                                      double fault_multiplier) {
+                                      double fault_multiplier,
+                                      double tor_weight) {
   workload::WorkloadConfig w;
   w.seed = seed;
   w.num_jobs = jobs;
@@ -46,7 +60,7 @@ workload::WorkloadConfig workload_for(std::uint64_t jobs, std::uint64_t seed,
     w.fault_horizon = util::Seconds(2.0);
     w.transceiver_mtbf = util::Seconds(0.05 / fault_multiplier);
     w.node_mtbf = util::Seconds(0.08 / fault_multiplier);
-    w.tor_mtbf = util::Seconds(0.15 / fault_multiplier);
+    w.tor_mtbf = util::Seconds(0.15 / (fault_multiplier * tor_weight));
     w.wavelength_mtbf = util::Seconds(0.06 / fault_multiplier);
     w.fault_mttr = util::Seconds(0.01);
     w.fault_num_wavelengths = 16;
@@ -56,29 +70,26 @@ workload::WorkloadConfig workload_for(std::uint64_t jobs, std::uint64_t seed,
 }
 
 ChurnPoint serve_point(std::uint64_t jobs, std::uint64_t seed,
-                       double multiplier) {
+                       const Arm& arm) {
+  const double multiplier = arm.multiplier;
   workload::WorkloadGenerator source(
-      workload_for(jobs, seed, multiplier));
+      workload_for(jobs, seed, multiplier, arm.tor_weight));
   runtime::FaultInjector injector = source.make_fault_injector();
 
   runtime::RuntimeConfig config;
   config.ring_size = 32;
   config.optical.wdm.num_wavelengths = 16;
-  config.placement = runtime::HybridPlacementPolicy::kElectricalOverflow;
+  config.placement = arm.placement;
   config.electrical.fabric = runtime::ElectricalFabric::kTwoLevelShared;
   config.electrical.hosts_per_tor = 8;
   if (multiplier > 0.0) config.faults = &injector;
 
   runtime::CollectiveRuntime rt(config);
   ChurnPoint point;
-  point.multiplier = multiplier;
+  point.arm = arm;
   point.report = rt.serve(source);
   point.completion_order = rt.completion_order();
   return point;
-}
-
-std::string suffix_for(double multiplier) {
-  return "x" + std::to_string(static_cast<int>(multiplier));
 }
 
 }  // namespace
@@ -91,15 +102,23 @@ int main(int argc, char** argv) {
   const auto jobs = static_cast<std::uint64_t>(cli.get_int("jobs"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  const std::vector<double> multipliers = {0.0, 1.0, 2.0, 4.0};
+  // The rate sweep, plus a ToR-heavy arm: electrical tenants orphaned by a
+  // ToR loss are the only ones that migrate, so without it the sweep never
+  // reaches the cross-substrate restart path.
+  const std::vector<Arm> arms = {
+      {"x0", 0.0},
+      {"x1", 1.0},
+      {"x2", 2.0},
+      {"x4", 4.0},
+      {"tor", 1.0, 8.0, runtime::HybridPlacementPolicy::kCostModelChoice}};
   std::vector<ChurnPoint> points;
-  for (const double multiplier : multipliers) {
-    points.push_back(serve_point(jobs, seed, multiplier));
+  for (const Arm& arm : arms) {
+    points.push_back(serve_point(jobs, seed, arm));
   }
 
   // The determinism half of the contract: replay the x1 point and demand
   // bit-identity — the artifact must be byte-stable per seed.
-  const ChurnPoint replay = serve_point(jobs, seed, 1.0);
+  const ChurnPoint replay = serve_point(jobs, seed, arms[1]);
   const ChurnPoint& x1 = points[1];
   const bool deterministic =
       replay.completion_order == x1.completion_order &&
@@ -117,7 +136,7 @@ int main(int argc, char** argv) {
     ok = ok && r.oracle_failures == 0 &&
          r.completed + r.rejected + r.faults.killed_jobs == r.submitted;
     table.add_row(
-        {suffix_for(point.multiplier), std::to_string(r.faults.injected),
+        {point.arm.label, std::to_string(r.faults.injected),
          std::to_string(r.faults.disrupted_executions),
          std::to_string(r.faults.evictions) + "/" +
              std::to_string(r.faults.restarts) + "/" +
@@ -128,9 +147,11 @@ int main(int argc, char** argv) {
          std::to_string(r.completed)});
   }
   // The churn must actually bite at the top of the sweep, or the MTBF
-  // calibration has drifted into a no-op.
-  ok = ok && points.back().report.faults.injected > 0 &&
-       points.back().report.faults.disrupted_executions > 0;
+  // calibration has drifted into a no-op, and the ToR arm must migrate.
+  const runtime::RuntimeReport& top = points[3].report;
+  const bool migrated = points[4].report.faults.migrations > 0;
+  ok = ok && top.faults.injected > 0 && top.faults.disrupted_executions > 0 &&
+       migrated;
 
   std::printf("fault churn — %llu jobs per point, seed %llu\n\n",
               static_cast<unsigned long long>(jobs),
@@ -138,6 +159,7 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   std::printf("\nx1 replay bit-identical: %s\n",
               deterministic ? "yes" : "NO");
+  std::printf("tor arm migrated a tenant: %s\n", migrated ? "yes" : "NO");
   std::printf("%s\n", ok ? "PASS" : "FAIL");
 
   harness::BenchJson json("fault_churn");
@@ -146,7 +168,7 @@ int main(int argc, char** argv) {
   json.metric("jobs_per_point", static_cast<double>(jobs));
   json.metric("seed", static_cast<double>(seed));
   for (const ChurnPoint& point : points) {
-    const std::string at = suffix_for(point.multiplier);
+    const std::string& at = point.arm.label;
     const runtime::RuntimeReport& r = point.report;
     json.metric("faults_" + at, static_cast<double>(r.faults.injected));
     json.metric("disrupted_" + at,

@@ -28,6 +28,7 @@
 #include "harness/bench_json.hpp"
 #include "runtime/runtime.hpp"
 #include "util/random.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
@@ -160,13 +161,16 @@ int main() {
 
   std::printf("\nsaturated mix: %zu seeds x 60 jobs, cost-model routing\n\n",
               seeds);
-  std::printf("%-12s %s\n", "routing", "mean |predicted-actual| error");
-  std::printf("%-12s %s\n", "quiet",
-              util::to_string(
-                  util::Seconds(quiet.mean_error_sum / seeds)).c_str());
-  std::printf("%-12s %s\n", "aware",
-              util::to_string(
-                  util::Seconds(aware.mean_error_sum / seeds)).c_str());
+  // RoutingStats::mean_error is relative to the predicted span, so it
+  // prints as a percentage, the same way RuntimeReport::to_string does.
+  std::printf("%-12s %s\n", "routing",
+              "mean |predicted-actual| / predicted span");
+  std::printf("%-12s %s%%\n", "quiet",
+              util::format_double(quiet.mean_error_sum / seeds * 100.0, 1)
+                  .c_str());
+  std::printf("%-12s %s%%\n", "aware",
+              util::format_double(aware.mean_error_sum / seeds * 100.0, 1)
+                  .c_str());
 
   const bool placements_proven = planner.oracle_failures == 0 &&
                                  first_fit.oracle_failures == 0 &&
@@ -192,8 +196,8 @@ int main() {
               planner.mean_turnaround().value());
   json.metric("first_fit_mean_turnaround_s",
               first_fit.mean_turnaround().value());
-  json.metric("aware_mean_routing_error_s", aware.mean_error_sum / seeds);
-  json.metric("quiet_mean_routing_error_s", quiet.mean_error_sum / seeds);
+  json.metric("aware_mean_routing_error", aware.mean_error_sum / seeds);
+  json.metric("quiet_mean_routing_error", quiet.mean_error_sum / seeds);
   json.write();
   return ok ? 0 : 1;
 }

@@ -191,20 +191,7 @@ std::int32_t aged_priority(std::int32_t priority, util::Seconds waiting_since,
 std::optional<std::size_t> priority_head(const JobQueue& queue,
                                          util::Seconds now,
                                          util::Seconds aging_half_life) {
-  std::optional<std::size_t> head;
-  std::int32_t head_priority = 0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const QueueEntry& job = queue.at(i);
-    if (!optically_eligible(job)) continue;
-    const std::int32_t effective =
-        aged_priority(job.priority, job.arrival, now, aging_half_life);
-    if (!head || effective > head_priority ||
-        (effective == head_priority && job.seq < queue.at(*head).seq)) {
-      head = i;
-      head_priority = effective;
-    }
-  }
-  return head;
+  return priority_head_if(queue, now, aging_half_life, optically_eligible);
 }
 
 std::optional<AdmissionDecision> next_admission(

@@ -152,4 +152,26 @@ struct AdmissionDecision {
     const JobQueue& queue, util::Seconds now = util::Seconds(0.0),
     util::Seconds aging_half_life = util::Seconds(0.0));
 
+/// priority_head over the entries `eligible` accepts instead of the
+/// optically eligible ones — the runtime's per-substrate contender scan.
+template <class Eligible>
+[[nodiscard]] std::optional<std::size_t> priority_head_if(
+    const JobQueue& queue, util::Seconds now, util::Seconds aging_half_life,
+    Eligible eligible) {
+  std::optional<std::size_t> head;
+  std::int32_t head_priority = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const QueueEntry& job = queue.at(i);
+    if (!eligible(job)) continue;
+    const std::int32_t effective =
+        aged_priority(job.priority, job.arrival, now, aging_half_life);
+    if (!head || effective > head_priority ||
+        (effective == head_priority && job.seq < queue.at(*head).seq)) {
+      head = i;
+      head_priority = effective;
+    }
+  }
+  return head;
+}
+
 }  // namespace wrht::runtime

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "coll/oracle.hpp"
 #include "util/check.hpp"
@@ -20,6 +21,18 @@ namespace {
 std::uint32_t useful_wavelength_cap(std::size_t num_participants) {
   const auto p = static_cast<std::uint32_t>(num_participants);
   return std::max(1u, core::all_to_all_wavelength_bound(p));
+}
+
+/// Below every real priority: "no waiter".
+constexpr std::int32_t kLowest = std::numeric_limits<std::int32_t>::min();
+
+/// `all` without the members of `removed`, order kept.
+std::vector<topo::NodeId> without(std::vector<topo::NodeId> all,
+                                  const std::vector<topo::NodeId>& removed) {
+  std::erase_if(all, [&removed](topo::NodeId node) {
+    return std::find(removed.begin(), removed.end(), node) != removed.end();
+  });
+  return all;
 }
 
 }  // namespace
@@ -110,8 +123,7 @@ std::string RuntimeReport::to_string() const {
 CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
     : config_(config),
       ring_(config.ring_size),
-      optical_(make_optical_substrate(ring_, config_.optical,
-                                      config_.fit_policy, simulator_,
+      optical_(make_optical_substrate(ring_, config_.optical, simulator_,
                                       config_.flat_hot_path,
                                       config_.spectrum_policy)),
       electrical_(config_.placement == HybridPlacementPolicy::kOpticalOnly
@@ -120,11 +132,8 @@ CollectiveRuntime::CollectiveRuntime(RuntimeConfig config)
                                                   config_.electrical)) {
   simulator_.event_queue().set_recycling(config_.flat_hot_path);
   queue_.set_flat(config_.flat_hot_path);
-  optical_node_down_.assign(config_.ring_size, 0);
-  host_down_.assign(config_.ring_size, 0);
-  wavelength_down_.assign(config_.optical.wdm.num_wavelengths, 0);
-  wavelength_quarantined_.assign(config_.optical.wdm.num_wavelengths, false);
-  host_quarantined_.assign(config_.ring_size, false);
+  substrates_.push_back(optical_.get());
+  if (electrical_) substrates_.push_back(electrical_.get());
   init_instruments();
 }
 
@@ -151,8 +160,9 @@ void CollectiveRuntime::init_instruments() {
   ins_.fault_repairs = reg->counter("runtime.fault_repairs");
   ins_.fault_recoveries = reg->counter("runtime.fault_recoveries");
   ins_.jobs_killed = reg->counter("runtime.jobs_killed");
-  optical_->attach_metrics(*reg);
-  if (electrical_) electrical_->attach_metrics(*reg);
+  for (ExecutionSubstrate* substrate : substrates_) {
+    substrate->attach_metrics(*reg);
+  }
 }
 
 void CollectiveRuntime::pump_metrics() {
@@ -278,32 +288,46 @@ void CollectiveRuntime::on_arrival(JobId id) {
   // with fusion structurally impossible (batch cap of 1, or a payload over
   // the fuse threshold) the window would be pure added latency.
   const util::Seconds window = config_.batcher.fuse_window;
-  if (config_.batcher.enabled && window > util::Seconds(0.0) &&
-      config_.batcher.max_jobs_per_batch > 1 &&
-      record.spec.payload <= config_.batcher.max_fuse_payload) {
-    entry.held = true;
-    queue_.push(std::move(entry));
-    simulator_.schedule_at(simulator_.now() + window,
-                           [this, id] { release_fuse_hold(id); });
-  } else {
-    queue_.push(std::move(entry));
+  entry.held = config_.batcher.enabled && window > util::Seconds(0.0) &&
+               config_.batcher.max_jobs_per_batch > 1 &&
+               record.spec.payload <= config_.batcher.max_fuse_payload;
+  if (entry.held) {
+    // A false release_hold means the job already left the queue — fused
+    // into an earlier batch or admitted — and there is nothing to release.
+    simulator_.schedule_at(simulator_.now() + window, [this, id] {
+      if (queue_.release_hold(id)) try_admit();
+    });
   }
+  queue_.push(std::move(entry));
   try_admit();
   pump_metrics();
 }
 
-void CollectiveRuntime::release_fuse_hold(JobId id) {
-  // A false return means the job already left the queue — fused into an
-  // earlier batch or admitted — and there is nothing to release.
-  if (queue_.release_hold(id)) try_admit();
+std::int32_t CollectiveRuntime::aged(const QueueEntry& entry) const {
+  return aged_priority(entry.priority, entry.arrival, simulator_.now(),
+                       config_.aging_half_life);
 }
 
-std::int32_t CollectiveRuntime::top_suspended_priority(
-    SubstrateKind kind) const {
-  std::int32_t top = std::numeric_limits<std::int32_t>::min();
+std::optional<std::size_t> CollectiveRuntime::contender_head(
+    const ExecutionSubstrate& substrate) const {
+  return priority_head_if(
+      queue_, simulator_.now(), config_.aging_half_life,
+      [&substrate](const QueueEntry& e) { return substrate.contends(e); });
+}
+
+std::int32_t CollectiveRuntime::top_contender_priority(
+    const ExecutionSubstrate& substrate) const {
+  const std::optional<std::size_t> head = contender_head(substrate);
+  return head ? aged(queue_.at(*head)) : kLowest;
+}
+
+std::optional<std::int32_t> CollectiveRuntime::top_suspended(
+    const ExecutionSubstrate& substrate) const {
+  std::optional<std::int32_t> top;
   for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() == kind) {
-      top = std::max(top, effective_priority(*exec));
+    if (exec->substrate == &substrate) {
+      top = std::max(top.value_or(effective_priority(*exec)),
+                     effective_priority(*exec));
     }
   }
   return top;
@@ -317,43 +341,30 @@ std::int32_t CollectiveRuntime::effective_priority(
                        config_.aging_half_life);
 }
 
-void CollectiveRuntime::publish_optical_demand(const Execution* excluding) {
+void CollectiveRuntime::publish_demand(ExecutionSubstrate& substrate,
+                                       const Execution* excluding) {
   // Advisory planner input only — recomputed immediately before each
-  // planner placement, so the snapshot is exact at decision time.  Skipped
-  // entirely under the first-fit ablation (the substrate would ignore it).
+  // placement or allocating renegotiation, so the snapshot is exact at
+  // decision time (a substrate that does not plan placements ignores it).
   //
   // The scan is bounded to a head-of-queue window: the head is what
   // admission considers next, and the planner's blocked/sliver terms only
   // discriminate on the near-term demand — an unbounded walk would make
   // every placement O(queue depth) and melt the streaming hot path (a
   // 100k-job serve keeps tens of thousands of jobs queued at once).
-  if (config_.spectrum_policy != SpectrumPolicy::kPlanner) return;
   constexpr std::size_t kDemandWindow = 32;
   std::vector<std::uint32_t> widths;
-  widths.reserve(kDemandWindow + suspended_.size());
   const std::size_t scan = std::min(queue_.size(), kDemandWindow);
   for (std::size_t i = 0; i < scan; ++i) {
     const QueueEntry& entry = queue_.at(i);
-    if (optically_eligible(entry)) widths.push_back(entry.min_wavelengths);
+    if (substrate.contends(entry)) widths.push_back(entry.min_wavelengths);
   }
   for (const auto& exec : suspended_) {
-    if (exec.get() == excluding) continue;
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
+    if (exec.get() != excluding && exec->substrate == &substrate) {
       widths.push_back(exec->min_width);
     }
   }
-  optical_->note_pending_demand(widths);
-}
-
-bool CollectiveRuntime::has_suspended(SubstrateKind kind) const {
-  return std::any_of(suspended_.begin(), suspended_.end(),
-                     [kind](const std::shared_ptr<Execution>& exec) {
-                       return exec->substrate->kind() == kind;
-                     });
-}
-
-bool CollectiveRuntime::electrically_pinned(const QueueEntry& entry) {
-  return !entry.held && entry.pin == SubstratePin::kElectricalOnly;
+  substrate.note_pending_demand(widths);
 }
 
 void CollectiveRuntime::try_admit() {
@@ -376,27 +387,20 @@ void CollectiveRuntime::try_admit() {
     // priority inversion).  Suspended ELECTRICAL executions wait for hosts,
     // not spectrum; they get the mirror guard inside the electrical
     // placement path and must not hold up the optical line here.
-    if (config_.policy == FairnessPolicy::kPriorityPreempt &&
-        has_suspended(SubstrateKind::kOptical)) {
-      const util::Seconds now = simulator_.now();
-      const std::optional<std::size_t> head =
-          priority_head(queue_, now, config_.aging_half_life);
-      const std::int32_t queued_top =
-          head ? aged_priority(queue_.at(*head).priority,
-                               queue_.at(*head).arrival, now,
-                               config_.aging_half_life)
-               : std::numeric_limits<std::int32_t>::min();
-      if (top_suspended_priority(SubstrateKind::kOptical) > queued_top) {
-        if (try_resume_one()) continue;
-        break;  // resume blocked: hold the line, ask for preemptions below
-      }
+    const std::optional<std::int32_t> waiting =
+        config_.policy == FairnessPolicy::kPriorityPreempt
+            ? top_suspended(*optical_)
+            : std::nullopt;
+    if (waiting && *waiting > top_contender_priority(*optical_)) {
+      if (try_resume_one()) continue;
+      break;  // resume blocked: hold the line, ask for preemptions below
     }
     const std::optional<AdmissionDecision> decision =
         next_admission(queue_, config_.policy, optical_->largest_free_grant(),
                        optical_->free_grant_total(), simulator_.now(),
                        config_.aging_half_life);
     if (decision) {
-      admit(*decision);
+      place_execution(*optical_, decision->queue_index, decision->grant);
       continue;
     }
     if (try_resume_one()) continue;
@@ -416,9 +420,7 @@ void CollectiveRuntime::try_admit() {
       }
     }
   }
-  if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-    request_preemptions();
-  }
+  if (config_.policy == FairnessPolicy::kPriorityPreempt) request_preemptions();
 }
 
 bool CollectiveRuntime::try_place_one_electrical() {
@@ -428,35 +430,25 @@ bool CollectiveRuntime::try_place_one_electrical() {
   // or a trickle of small pinned jobs starves the preempted victim.
   const std::int32_t top_elec_suspended =
       config_.policy == FairnessPolicy::kPriorityPreempt
-          ? top_suspended_priority(SubstrateKind::kElectrical)
-          : std::numeric_limits<std::int32_t>::min();
+          ? top_suspended(*electrical_).value_or(kLowest)
+          : kLowest;
   // Candidate order mirrors the fairness policy's preference: priority
-  // (ties on arrival) under kPriorityPreempt, arrival order otherwise.
+  // (ties on arrival) under kPriorityPreempt, arrival order otherwise (the
+  // queue holds entries in arrival order).
   std::vector<std::size_t> order;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     if (!queue_.at(i).held) order.push_back(i);
   }
-  const util::Seconds age_now = simulator_.now();
-  std::sort(order.begin(), order.end(),
-            [this, age_now](std::size_t a, std::size_t b) {
-              const QueueEntry& ja = queue_.at(a);
-              const QueueEntry& jb = queue_.at(b);
-              if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-                const std::int32_t pa = aged_priority(
-                    ja.priority, ja.arrival, age_now, config_.aging_half_life);
-                const std::int32_t pb = aged_priority(
-                    jb.priority, jb.arrival, age_now, config_.aging_half_life);
-                if (pa != pb) return pa > pb;
-              }
-              return ja.seq < jb.seq;
-            });
+  if (config_.policy == FairnessPolicy::kPriorityPreempt) {
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return aged(queue_.at(a)) > aged(queue_.at(b));
+                     });
+  }
   for (const std::size_t idx : order) {
     const QueueEntry& job = queue_.at(idx);
-    if (job.pin == SubstratePin::kOpticalOnly) continue;
-    if (top_elec_suspended > aged_priority(job.priority, job.arrival, age_now,
-                                           config_.aging_half_life)) {
-      continue;
-    }
+    if (!electrical_->accepts(job.pin)) continue;
+    if (top_elec_suspended > aged(job)) continue;
     if (!electrical_->can_place(job.participants, 1)) continue;
     if (config_.placement == HybridPlacementPolicy::kCostModelChoice &&
         job.pin != SubstratePin::kElectricalOnly) {
@@ -468,22 +460,10 @@ bool CollectiveRuntime::try_place_one_electrical() {
       // kQuietAlphaBeta the comparison is of quiet run times only (the
       // ablation baseline).  A pinned job skips the comparison — the
       // tenant already decided.
-      const util::Seconds now = simulator_.now();
-      util::Seconds elec_done;
-      util::Seconds optic_done;
-      if (config_.routing_cost_model == RoutingCostModel::kCongestionAware) {
-        elec_done = electrical_->predict_completion(job.participants,
-                                                    job.payload, 1, now);
-        optic_done = optical_->predict_completion(
-            job.participants, job.payload, job.requested_wavelengths, now);
-      } else {
-        elec_done =
-            now + electrical_->predict_makespan(job.participants, job.payload,
-                                                1);
-        optic_done = now + optical_->predict_makespan(
-                               job.participants, job.payload,
-                               job.requested_wavelengths);
-      }
+      const util::Seconds elec_done =
+          predict(*electrical_, job.participants, job.payload, 1);
+      const util::Seconds optic_done = predict(
+          *optical_, job.participants, job.payload, job.requested_wavelengths);
       if (elec_done >= optic_done) continue;
       pending_route_prediction_ = {optic_done, elec_done};
     }
@@ -493,220 +473,55 @@ bool CollectiveRuntime::try_place_one_electrical() {
   return false;
 }
 
+util::Seconds CollectiveRuntime::predict(
+    const ExecutionSubstrate& substrate,
+    const std::vector<topo::NodeId>& participants, util::Bytes payload,
+    std::uint32_t grant) const {
+  const util::Seconds now = simulator_.now();
+  return config_.routing_cost_model == RoutingCostModel::kCongestionAware
+             ? substrate.predict_completion(participants, payload, grant, now)
+             : now + substrate.predict_makespan(participants, payload, grant);
+}
+
 void CollectiveRuntime::request_preemptions() {
-  request_optical_preemptions();
-  request_electrical_preemptions();
-}
-
-void CollectiveRuntime::request_optical_preemptions() {
-  // The most urgent spectrum waiter: the queued admission head (the same
-  // selection the policy itself uses, so preemptions always benefit the job
-  // admission will actually pick) or a suspended OPTICAL execution awaiting
-  // resume, whichever outranks the other.
-  std::int32_t target_priority = std::numeric_limits<std::int32_t>::min();
-  std::uint32_t target_min = 0;
-  const util::Seconds now = simulator_.now();
-  if (const std::optional<std::size_t> head =
-          priority_head(queue_, now, config_.aging_half_life)) {
-    target_priority = aged_priority(queue_.at(*head).priority,
-                                    queue_.at(*head).arrival, now,
-                                    config_.aging_half_life);
-    target_min = queue_.at(*head).min_wavelengths;
-  }
-  for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    const std::int32_t effective = effective_priority(*exec);
-    if (effective > target_priority) {
-      target_priority = effective;
-      target_min = exec->min_width;
+  for (ExecutionSubstrate* substrate : substrates_) {
+    if (!substrate->caps().preemptible) continue;
+    // The most urgent waiter for this fabric: the queued contender
+    // admission would pick (so preemptions always benefit the job it will
+    // actually serve), or a suspended execution of this substrate awaiting
+    // resume, whichever outranks the other.
+    PreemptionWaiter waiter;
+    std::int32_t target = kLowest;
+    if (const std::optional<std::size_t> head = contender_head(*substrate)) {
+      const QueueEntry& entry = queue_.at(*head);
+      waiter = {true, &entry.participants, entry.min_wavelengths};
+      target = aged(entry);
     }
-  }
-  if (target_min == 0) return;
-
-  // Spectrum usable today plus bands already being surrendered at the next
-  // boundary.  Admission needs a CONTIGUOUS run, so the baseline is the
-  // largest free block, not the free total — a fragmented pool that sums to
-  // the minimum admits nothing.  Adding victim widths is still approximate
-  // (their bands may not abut the free runs); both error directions
-  // self-correct: under-preemption retries here on the next try_admit, and
-  // a victim whose suspension became unnecessary is reprieved by the
-  // boundary re-check in renegotiate().
-  std::uint32_t pending = optical_->largest_free_grant();
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    if (exec->preempt_requested) pending += exec->plan->grant();
-  }
-  if (pending >= target_min) return;
-
-  // Victims: lower-priority executions of the OPTICAL substrate only —
-  // surrendering host links would not free a wavelength — cheapest first
-  // (lowest priority, then widest band so one victim usually suffices,
-  // then oldest lead job for determinism).  The band is not taken here —
-  // the victim surrenders it at its next step boundary, which is what
-  // makes the handoff safe.
-  std::vector<std::shared_ptr<Execution>> victims;
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-    if (!exec->substrate->caps().preemptible) continue;
-    if (!exec->preempt_requested && exec->priority < target_priority) {
-      victims.push_back(exec);
-    }
-  }
-  std::sort(victims.begin(), victims.end(),
-            [](const auto& a, const auto& b) {
-              if (a->priority != b->priority) return a->priority < b->priority;
-              if (a->plan->grant() != b->plan->grant()) {
-                return a->plan->grant() > b->plan->grant();
-              }
-              return a->jobs.front() < b->jobs.front();
-            });
-  for (const auto& victim : victims) {
-    if (pending >= target_min) break;
-    victim->preempt_requested = true;
-    pending += victim->plan->grant();
-  }
-}
-
-void CollectiveRuntime::request_electrical_preemptions() {
-  if (!electrical_ || !electrical_->caps().preemptible) return;
-  // The most urgent HOST waiter: the highest-priority pinned-electrical
-  // arrival (a kAny job also has the optical line working for it and never
-  // justifies evicting an electrical tenant), or a suspended electrical
-  // execution awaiting resume.  A queued waiter needs ITS OWN ring
-  // positions' hosts; a suspended one can resume on any free host set of
-  // its size (remaps_on_resume).
-  std::int32_t target_priority = std::numeric_limits<std::int32_t>::min();
-  const util::Seconds now = simulator_.now();
-  const QueueEntry* queued_waiter = nullptr;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& entry = queue_.at(i);
-    if (!electrically_pinned(entry)) continue;
-    const std::int32_t effective = aged_priority(
-        entry.priority, entry.arrival, now, config_.aging_half_life);
-    if (!queued_waiter || effective > target_priority ||
-        (effective == target_priority && entry.seq < queued_waiter->seq)) {
-      queued_waiter = &entry;
-      target_priority = effective;
-    }
-  }
-  std::uint32_t suspended_need = 0;
-  for (const auto& exec : suspended_) {
-    if (exec->substrate->kind() != SubstrateKind::kElectrical) continue;
-    const std::int32_t effective = effective_priority(*exec);
-    if (effective > target_priority) {
-      target_priority = effective;
-      queued_waiter = nullptr;
-      suspended_need =
-          static_cast<std::uint32_t>(exec->participants.size());
-    }
-  }
-  if (!queued_waiter && suspended_need == 0) return;
-  if (queued_waiter &&
-      electrical_->can_place(queued_waiter->participants, 1)) {
-    return;  // placeable right now; the placement path will take it
-  }
-
-  // Same surrender-at-the-boundary protocol as the optical planner: mark
-  // victims, let renegotiate() re-check at their next step boundary, and
-  // retry here on the next try_admit if this round under-shot.  Host sets
-  // are snapshotted once — hosts() copies, and the scans below would
-  // otherwise re-copy per (waiter host x execution) pair.
-  struct Holder {
-    std::shared_ptr<Execution> exec;
-    std::vector<topo::NodeId> hosts;
-  };
-  std::vector<Holder> electrical_running;
-  for (const auto& exec : running_execs_) {
-    if (exec->substrate->kind() == SubstrateKind::kElectrical) {
-      electrical_running.push_back(Holder{exec, exec->plan->hosts()});
-    }
-  }
-
-  if (queued_waiter) {
-    // The waiter's hosts are busy: every holder must be preemptible and
-    // strictly lower-priority, or preemption cannot help at all.
-    bool any_busy_holder = false;
-    std::vector<std::shared_ptr<Execution>> blockers;
-    for (const topo::NodeId host : queued_waiter->participants) {
-      for (const Holder& holder : electrical_running) {
-        if (std::find(holder.hosts.begin(), holder.hosts.end(), host) ==
-            holder.hosts.end()) {
-          continue;
-        }
-        any_busy_holder = true;
-        if (holder.exec->priority >= target_priority) {
-          return;  // outranked: hopeless
-        }
-        if (!holder.exec->preempt_requested &&
-            std::find(blockers.begin(), blockers.end(), holder.exec) ==
-                blockers.end()) {
-          blockers.push_back(holder.exec);
-        }
-        break;  // hosts are exclusive; one holder per host
+    for (const auto& exec : suspended_) {
+      if (exec->substrate != substrate) continue;
+      const std::int32_t effective = effective_priority(*exec);
+      if (effective > target) {
+        waiter = {false, &exec->participants, exec->min_width};
+        target = effective;
       }
     }
-    if (any_busy_holder) {
-      // Empty `blockers` with a busy holder means every holder is already
-      // surrendering — the request is in flight, waiting on their step
-      // boundaries, and marking unrelated tenants would only cascade
-      // collateral suspensions that free nothing the waiter can use.
-      for (const auto& victim : blockers) victim->preempt_requested = true;
-      return;
+    if (waiter.participants == nullptr) continue;
+    // The grant is not taken here — a victim surrenders it at its next
+    // step boundary, which is what makes the handoff safe, and
+    // renegotiate() re-checks the need there.
+    std::vector<Execution*> holders;
+    std::vector<PreemptionCandidate> candidates;
+    for (const auto& exec : running_execs_) {
+      if (exec->substrate != substrate) continue;
+      holders.push_back(exec.get());
+      candidates.push_back({exec->plan.get(), exec->priority,
+                            exec->jobs.front(), exec->preempt_requested,
+                            exec->priority < target});
     }
-    // No busy host blocks the waiter, yet can_place said no: the
-    // concurrency cap is the bottleneck.  One victim frees a slot;
-    // cheapest first (lowest priority, then fewest hosts surrendered, then
-    // oldest lead job for determinism).
-    const Holder* cheapest = nullptr;
-    for (const Holder& holder : electrical_running) {
-      if (holder.exec->preempt_requested ||
-          holder.exec->priority >= target_priority) {
-        continue;
-      }
-      const auto better = [](const Holder& a, const Holder& b) {
-        if (a.exec->priority != b.exec->priority) {
-          return a.exec->priority < b.exec->priority;
-        }
-        if (a.hosts.size() != b.hosts.size()) {
-          return a.hosts.size() < b.hosts.size();
-        }
-        return a.exec->jobs.front() < b.exec->jobs.front();
-      };
-      if (cheapest == nullptr || better(holder, *cheapest)) {
-        cheapest = &holder;
-      }
+    for (const std::size_t i :
+         substrate->preemption_victims(waiter, candidates)) {
+      holders[i]->preempt_requested = true;
     }
-    if (cheapest != nullptr) cheapest->exec->preempt_requested = true;
-    return;
-  }
-
-  // Suspended waiter: free hosts anywhere count, so accumulate surrendered
-  // host sets (largest first, so one victim usually suffices) until the
-  // resume could fit.
-  std::uint32_t pending = electrical_->free_grant_total();
-  std::vector<const Holder*> victims;
-  for (const Holder& holder : electrical_running) {
-    if (holder.exec->preempt_requested) {
-      pending += static_cast<std::uint32_t>(holder.hosts.size());
-    } else if (holder.exec->priority < target_priority) {
-      victims.push_back(&holder);
-    }
-  }
-  if (pending >= suspended_need) return;
-  std::sort(victims.begin(), victims.end(),
-            [](const Holder* a, const Holder* b) {
-              if (a->exec->priority != b->exec->priority) {
-                return a->exec->priority < b->exec->priority;
-              }
-              if (a->hosts.size() != b->hosts.size()) {
-                return a->hosts.size() > b->hosts.size();
-              }
-              return a->exec->jobs.front() < b->exec->jobs.front();
-            });
-  for (const Holder* victim : victims) {
-    if (pending >= suspended_need) break;
-    victim->exec->preempt_requested = true;
-    pending += static_cast<std::uint32_t>(victim->hosts.size());
   }
 }
 
@@ -726,39 +541,23 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   // so the executed prefix always shares the plan's granularity.
   coll::Schedule composite("composite", config_.ring_size,
                            exec.plan->schedule().num_chunks());
-  for (const coll::Step& step : exec.executed) {
-    composite.add_step();
-    for (const coll::Transfer& t : step.transfers) {
-      composite.add_transfer(t);
-    }
-  }
-  const coll::Schedule& ahead = exec.plan->schedule();
-  for (const coll::Step& step : ahead.steps()) {
-    composite.add_step();
-    for (const coll::Transfer& t : step.transfers) {
-      composite.add_transfer(t);
+  for (const auto* steps : {&exec.executed, &exec.plan->schedule().steps()}) {
+    for (const coll::Step& step : *steps) {
+      composite.add_step();
+      for (const coll::Transfer& t : step.transfers) composite.add_transfer(t);
     }
   }
   // Faults change the delivery contract, not the sum: once nodes were
   // evicted mid-flight, every ORIGINAL participant contributed but only
   // the survivors must end holding the total (the evicted nodes' hardware
   // is gone — their final state is unspecified).
-  coll::OracleResult verdict;
-  if (exec.evicted.empty()) {
-    verdict = coll::Oracle::verify_allreduce_among(
-        composite, exec.participants, config_.oracle_payload_len);
-  } else {
-    std::vector<topo::NodeId> recipients;
-    recipients.reserve(exec.participants.size());
-    for (const topo::NodeId node : exec.participants) {
-      if (std::find(exec.evicted.begin(), exec.evicted.end(), node) ==
-          exec.evicted.end()) {
-        recipients.push_back(node);
-      }
-    }
-    verdict = coll::Oracle::verify_allreduce_among(
-        composite, exec.participants, recipients, config_.oracle_payload_len);
-  }
+  const coll::OracleResult verdict =
+      exec.recipients.size() == exec.participants.size()
+          ? coll::Oracle::verify_allreduce_among(composite, exec.participants,
+                                                 config_.oracle_payload_len)
+          : coll::Oracle::verify_allreduce_among(
+                composite, exec.participants, exec.recipients,
+                config_.oracle_payload_len);
   if (!verdict.ok) ++report_.oracle_failures;
   // A schedule that fails the oracle must never touch its fabric; like a
   // wavelength conflict, this is a library bug, not a tenant error.
@@ -786,10 +585,6 @@ void CollectiveRuntime::adopt_plan(Execution& exec,
   }
 }
 
-void CollectiveRuntime::admit(const AdmissionDecision& decision) {
-  place_execution(*optical_, decision.queue_index, decision.grant);
-}
-
 void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
                                         std::size_t queue_index,
                                         std::uint32_t grant) {
@@ -799,19 +594,18 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
   const std::uint32_t lead_request =
       queue_.at(queue_index).requested_wavelengths;
   const SubstratePin lead_pin = queue_.at(queue_index).pin;
+  // A fused peer executes inside the lead's grant; only substrates whose
+  // grants are wavelength-denominated impose the peer's min_wavelengths
+  // floor on it (electrical peers ride host links, not a band).
   const SubstrateCaps& caps = substrate.caps();
-  std::vector<std::size_t> members;
-  if (caps.batchable) {
-    // A fused peer executes inside the lead's grant; only substrates whose
-    // grants are wavelength-denominated impose the peer's min_wavelengths
-    // floor on it (electrical peers ride host links, not a band).
-    const std::uint32_t fuse_width =
-        caps.fuse_respects_grant ? grant
-                                 : std::numeric_limits<std::uint32_t>::max();
-    members = fusable_peers(queue_, queue_index, fuse_width, config_.batcher);
-  } else {
-    members = {queue_index};
-  }
+  const std::vector<std::size_t> members =
+      caps.batchable
+          ? fusable_peers(queue_, queue_index,
+                          caps.fuse_respects_grant
+                              ? grant
+                              : std::numeric_limits<std::uint32_t>::max(),
+                          config_.batcher)
+          : std::vector<std::size_t>{queue_index};
 
   auto exec = std::make_shared<Execution>();
   exec->substrate = &substrate;
@@ -827,13 +621,12 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
     exec->jobs.push_back(entry.id);
   }
   std::reverse(exec->jobs.begin(), exec->jobs.end());  // oldest first
+  exec->recipients = exec->participants;
   exec->useful_cap = useful_wavelength_cap(exec->participants.size());
 
-  if (substrate.kind() == SubstrateKind::kOptical) {
-    // The members just left the queue, so the snapshot is exactly the
-    // demand this placement must not strand.
-    publish_optical_demand(nullptr);
-  }
+  // The members just left the queue, so the snapshot is exactly the demand
+  // this placement must not strand.
+  publish_demand(substrate, nullptr);
   exec->plan =
       substrate.place(exec->participants, exec->batch_payload, grant);
   verify_composite_or_die(*exec);
@@ -855,7 +648,7 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
                   ? sim::TraceKind::kJobPlaceOptical
                   : sim::TraceKind::kJobPlaceElectrical,
               id, band);
-    if (id != exec->jobs.front() && trace_.enabled()) {
+    if (id != exec->jobs.front()) {
       trace_.record(now, sim::TraceKind::kJobFused, id,
                     static_cast<std::int64_t>(exec->jobs.front()));
     }
@@ -869,36 +662,32 @@ void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
   if (exec->jobs.size() > 1) {
     obs::inc(ins_.jobs_fused,
              static_cast<std::uint64_t>(exec->jobs.size() - 1));
+    ++report_.batches;
   }
-  running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
-  report_.peak_concurrent_jobs =
-      std::max(report_.peak_concurrent_jobs, running_jobs_);
   ++report_.executions;
-  if (exec->jobs.size() > 1) ++report_.batches;
   SubstrateBreakdown& slice = breakdown(kind);
   slice.jobs += static_cast<std::uint32_t>(exec->jobs.size());
   ++slice.executions;
-  running_execs_.push_back(exec);
 
   // Admission does not filter on node liveness (a down TRANSCEIVER's job
-  // may still have been queued before the fault): a fresh optical placement
-  // over dead participants runs its first step and reconciles at the first
-  // boundary, exactly like a running execution the fault caught.
-  if (any_fault_ever_ && kind == SubstrateKind::kOptical) {
-    for (const topo::NodeId node : exec->participants) {
-      if (optical_node_down_[node] != 0) {
-        exec->fault_pending = true;
-        break;
-      }
-    }
-  }
+  // may still have been queued before the fault): a fresh placement over
+  // participants its substrate lost runs its first step and reconciles at
+  // the first boundary, exactly like a running execution the fault caught.
+  exec->fault_pending = !substrate.down_among(exec->participants).empty();
 
-  audit_route_decision(*exec, grant, lead_request, lead_pin);
+  audit_route_decision(*exec, lead_request, lead_pin);
+  start(exec);
+}
+
+void CollectiveRuntime::start(const std::shared_ptr<Execution>& exec) {
+  running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
+  report_.peak_concurrent_jobs =
+      std::max(report_.peak_concurrent_jobs, running_jobs_);
+  running_execs_.push_back(exec);
   run_step(exec);
 }
 
 void CollectiveRuntime::audit_route_decision(const Execution& exec,
-                                             std::uint32_t grant,
                                              std::uint32_t optical_request,
                                              SubstratePin pin) {
   // The routing verdict binds HERE, at placement — until now the
@@ -915,38 +704,27 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
       !electrical_ || pin != SubstratePin::kAny) {
     return;
   }
-  const util::Seconds now = simulator_.now();
+  // The optical alternative is priced at the band the execution holds, or
+  // at the lead's request when it holds none.  The electrical placement
+  // path just priced both sides for exactly this
+  // work — no fusion happened, the fabric state is untouched (the
+  // execution's own flows are injected by run_step, after this audit) — so
+  // re-running the congestion probe would buy the same numbers for another
+  // FlowNetwork clone.  A FUSED execution runs batch_payload, not the lead's
+  // payload the comparison priced; it gets a fresh estimate so electrical
+  // and optical decisions are scored against the same (batched) work.
+  const auto [optic, elec] =
+      precomputed && exec.jobs.size() == 1
+          ? *precomputed
+          : std::pair{predict(*optical_, exec.participants,
+                              exec.batch_payload,
+                              exec.plan->band().valid()
+                                  ? exec.plan->band().width
+                                  : optical_request),
+                      predict(*electrical_, exec.participants,
+                              exec.batch_payload, 1)};
   const bool placed_electrical =
       exec.substrate->kind() == SubstrateKind::kElectrical;
-  util::Seconds optic;
-  util::Seconds elec;
-  if (precomputed && exec.jobs.size() == 1) {
-    // The electrical placement path just priced both sides for exactly
-    // this work — no fusion happened, the fabric state is untouched (the
-    // execution's own flows are injected by run_step, after this audit) —
-    // so re-running the congestion probe would buy the same numbers for
-    // another FlowNetwork clone.  A FUSED execution runs batch_payload,
-    // not the lead's payload the comparison priced; it falls through to a
-    // fresh estimate so electrical and optical decisions are scored
-    // against the same (batched) work.
-    optic = precomputed->first;
-    elec = precomputed->second;
-  } else {
-    const bool aware =
-        config_.routing_cost_model == RoutingCostModel::kCongestionAware;
-    const std::uint32_t optical_grant =
-        placed_electrical ? optical_request : grant;
-    optic = aware ? optical_->predict_completion(exec.participants,
-                                                 exec.batch_payload,
-                                                 optical_grant, now)
-                  : now + optical_->predict_makespan(exec.participants,
-                                                     exec.batch_payload,
-                                                     optical_grant);
-    elec = aware ? electrical_->predict_completion(exec.participants,
-                                                   exec.batch_payload, 1, now)
-                 : now + electrical_->predict_makespan(exec.participants,
-                                                       exec.batch_payload, 1);
-  }
   const util::Seconds chosen = placed_electrical ? elec : optic;
   ++report_.routing.decisions;
   ++(placed_electrical ? report_.routing.to_electrical
@@ -954,7 +732,7 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
   for (const JobId id : exec.jobs) {
     records_[id].predicted_completion = chosen;
     if (trace_.enabled()) {
-      trace_.record(now, sim::TraceKind::kRouteDecision, id,
+      trace_.record(simulator_.now(), sim::TraceKind::kRouteDecision, id,
                     static_cast<std::int64_t>(exec.substrate->kind()),
                     "optical=" + util::to_string(optic) +
                         " electrical=" + util::to_string(elec));
@@ -966,32 +744,16 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   // Faults outrank every voluntary renegotiation: dead hardware cannot
   // carry the next step, so reconcile against the down sets before the
   // preempt/resize logic gets a say.
-  if (exec->fault_pending || exec->migrate_pending) {
-    if (handle_fault_at_boundary(exec)) return true;
-  }
-  const SubstrateCaps& caps = exec->substrate->caps();
-  if (caps.preemptible && exec->preempt_requested) {
+  if (exec->fault_pending && reconcile_faults(exec)) return true;
+  ExecutionSubstrate& substrate = *exec->substrate;
+  if (substrate.caps().preemptible && exec->preempt_requested) {
     exec->preempt_requested = false;
     // Re-check at the boundary: the waiter that asked for this grant — a
     // queued arrival or a suspended execution trying to resume — may have
-    // been satisfied meanwhile by a completion elsewhere.  Eligibility is
-    // per substrate: only a waiter this fabric could actually serve
-    // justifies the suspension (an electrically-pinned arrival gains
-    // nothing from an optical band, and a kAny arrival never justified
-    // evicting an electrical tenant in the first place).
-    const SubstrateKind kind = exec->substrate->kind();
-    bool still_needed = top_suspended_priority(kind) > exec->priority;
-    for (std::size_t i = 0; i < queue_.size() && !still_needed; ++i) {
-      const QueueEntry& entry = queue_.at(i);
-      const bool eligible = kind == SubstrateKind::kOptical
-                                ? optically_eligible(entry)
-                                : electrically_pinned(entry);
-      still_needed =
-          eligible && aged_priority(entry.priority, entry.arrival,
-                                    simulator_.now(),
-                                    config_.aging_half_life) > exec->priority;
-    }
-    if (still_needed) {
+    // been satisfied meanwhile by a completion elsewhere.  Only a waiter
+    // contending for THIS fabric justifies the suspension.
+    if (std::max(top_suspended(substrate).value_or(kLowest),
+                 top_contender_priority(substrate)) > exec->priority) {
       // suspend_execution re-runs admission, which may legally resume THIS
       // execution at the same instant on a different band (run_step already
       // dispatched by the resume) — so the verdict here is "surrendered",
@@ -1000,33 +762,28 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
       return true;
     }
   }
-  if (!config_.elastic_resize || !caps.resizable) return false;
+  if (!config_.elastic_resize || !substrate.caps().resizable) return false;
   // Held (fuse-window) entries are not admissible yet, so they neither
-  // justify a shrink nor block a grow.  Suspended OPTICAL executions are
-  // waiting on spectrum too: growing past them would hand a runner the
-  // very band a preempted (possibly more urgent) job needs to resume —
-  // priority inversion by resize.  (Suspended electrical executions wait
-  // for hosts; spectrum resizes neither help nor hurt them.)
-  bool admissible_waiter = has_suspended(SubstrateKind::kOptical);
-  for (std::size_t i = 0; i < queue_.size() && !admissible_waiter; ++i) {
-    admissible_waiter = optically_eligible(queue_.at(i));
+  // justify a shrink nor block a grow.  Suspended executions of this
+  // substrate wait for the same capacity: growing past them would hand a
+  // runner the very band a preempted (possibly more urgent) job needs to
+  // resume — priority inversion by resize.
+  bool waiter = top_suspended(substrate).has_value();
+  for (std::size_t i = 0; i < queue_.size() && !waiter; ++i) {
+    waiter = substrate.contends(queue_.at(i));
   }
-  if (!admissible_waiter) {
-    try_grow(exec);
-  } else {
+  if (waiter) {
     try_shrink(exec);
+  } else if (exec->plan->grant() < exec->useful_cap) {
+    resize(*exec,
+           RenegotiationRequest::grow(exec->next_step, exec->useful_cap));
   }
   return false;
 }
 
 void CollectiveRuntime::suspend_execution(
     const std::shared_ptr<Execution>& exec, bool fault) {
-  exec->substrate->release(*exec->plan, simulator_.now());
-  suspend_released(exec, fault);
-}
-
-void CollectiveRuntime::suspend_released(
-    const std::shared_ptr<Execution>& exec, bool fault) {
+  exec->substrate->release(*exec->plan, simulator_.now());  // idempotent
   exec->suspended = true;
   exec->suspended_since = simulator_.now();
   for (const JobId id : exec->jobs) {
@@ -1042,11 +799,7 @@ void CollectiveRuntime::suspend_released(
   running_execs_.erase(
       std::find(running_execs_.begin(), running_execs_.end(), exec));
   suspended_.push_back(exec);
-  // A fault suspension just surrendered the DEAD units along with the live
-  // ones; quarantine them before the admission re-run below can hand them
-  // to a queued tenant.
-  if (fault) quarantine_downed_units();
-  // The surrendered band is free NOW, at the boundary — the waiting
+  // The surrendered grant is free NOW, at the boundary — the waiting
   // high-priority job starts without waiting for this execution to finish.
   try_admit();
   pump_metrics();
@@ -1056,7 +809,7 @@ bool CollectiveRuntime::try_resume_one() {
   if (suspended_.empty()) return false;
   // Highest EFFECTIVE (aged) priority first, FIFO among equals.
   std::vector<std::size_t> order(suspended_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [this](std::size_t a, std::size_t b) {
                      return effective_priority(*suspended_[a]) >
@@ -1064,88 +817,45 @@ bool CollectiveRuntime::try_resume_one() {
                    });
   for (const std::size_t idx : order) {
     const std::shared_ptr<Execution> exec = suspended_[idx];
+    ExecutionSubstrate& substrate = *exec->substrate;
     // Never hand capacity back to a victim while the queue still holds a
     // strictly more urgent job contending for the SAME fabric — that is
-    // the resource being fought over.  Spectrum fights are between
-    // optically eligible entries, host fights between pinned-electrical
-    // ones.
-    if (config_.policy == FairnessPolicy::kPriorityPreempt) {
-      const SubstrateKind kind = exec->substrate->kind();
-      const util::Seconds now = simulator_.now();
-      std::int32_t top_queued = std::numeric_limits<std::int32_t>::min();
-      for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const QueueEntry& entry = queue_.at(i);
-        const bool same_fabric = kind == SubstrateKind::kOptical
-                                     ? optically_eligible(entry)
-                                     : electrically_pinned(entry);
-        if (same_fabric) {
-          top_queued = std::max(
-              top_queued, aged_priority(entry.priority, entry.arrival, now,
-                                        config_.aging_half_life));
-        }
-      }
-      if (top_queued > effective_priority(*exec)) continue;
+    // the resource being fought over.
+    if (config_.policy == FairnessPolicy::kPriorityPreempt &&
+        top_contender_priority(substrate) > effective_priority(*exec)) {
+      continue;
     }
     // Fault reconciliation first: participants that died while this
     // execution waited must be dropped before (or instead of) resuming.
-    std::vector<topo::NodeId> dead;
-    if (any_fault_ever_ &&
-        exec->substrate->kind() == SubstrateKind::kOptical) {
-      dead = newly_dead(*exec);
-      if (!dead.empty() &&
-          exec->participants.size() - exec->evicted.size() - dead.size() <
-              2) {
-        kill_execution(exec);
-        return true;  // state changed; the caller's loop re-enters
-      }
-      if (exec->fresh_restart && !dead.empty()) {
-        // Nothing executed survives anyway — just shrink the restart set.
-        exec->participants = live_participants(*exec);
-        exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-        dead.clear();
-      }
+    std::vector<topo::NodeId> dead = substrate.down_among(exec->recipients);
+    if (!dead.empty() && exec->recipients.size() - dead.size() < 2) {
+      kill_execution(exec);
+      return true;  // state changed; the caller's loop re-enters
+    }
+    if (exec->fresh_restart) {
+      // Nothing executed survives anyway — just shrink the restart set.
+      discard_prefix(*exec, without(exec->recipients, dead));
     }
     // The pre-suspension width is the sizing hint; the substrate may settle
     // for less (never below the floor) or need more for inherited mirrors.
     const std::uint32_t desired = std::clamp(
         exec->plan->band().width, exec->min_width, exec->useful_cap);
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
-      publish_optical_demand(exec.get());
-    }
-    bool restarted = exec->fresh_restart;
     RenegotiationOutcome outcome;
-    if (exec->fresh_restart) {
-      outcome = exec->substrate->renegotiate(
-          nullptr,
-          RenegotiationRequest::restart(exec->participants,
-                                        exec->batch_payload, desired,
-                                        exec->min_width));
-    } else {
-      outcome = exec->substrate->renegotiate(
+    if (!exec->fresh_restart) {
+      publish_demand(substrate, exec.get());
+      outcome = substrate.renegotiate(
           exec->plan.get(),
           RenegotiationRequest::resume(exec->next_step, desired,
                                        exec->min_width, dead));
+      // The remainder cannot absorb the eviction (a dead node still
+      // carries state it needs): restart fresh among the survivors.
       if (!outcome.accepted() && !dead.empty()) {
-        // The remainder cannot absorb the eviction (a dead node still
-        // carries state it needs): discard the prefix and restart fresh
-        // among the survivors.
-        report_.faults.wasted_step_time += exec->busy_time;
-        exec->busy_time = util::Seconds(0.0);
-        exec->quiet_time = util::Seconds(0.0);
-        exec->participants = live_participants(*exec);
-        exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-        exec->executed.clear();
-        exec->evicted.clear();
-        exec->next_step = 0;
+        discard_prefix(*exec, without(exec->recipients, dead));
         exec->fresh_restart = true;
-        restarted = true;
-        outcome = exec->substrate->renegotiate(
-            nullptr,
-            RenegotiationRequest::restart(exec->participants,
-                                          exec->batch_payload, desired,
-                                          exec->min_width));
       }
     }
+    const bool restarted = exec->fresh_restart;
+    if (restarted) outcome = restart_on(substrate, *exec, desired);
     if (!outcome.accepted()) continue;
 
     suspended_.erase(suspended_.begin() +
@@ -1155,7 +865,7 @@ bool CollectiveRuntime::try_resume_one() {
       exec->fresh_restart = false;
       ++report_.faults.restarts;
     } else if (!dead.empty()) {
-      exec->evicted.insert(exec->evicted.end(), dead.begin(), dead.end());
+      exec->recipients = without(exec->recipients, dead);
       ++report_.faults.evictions;
     }
     adopt_plan(*exec, std::move(outcome.plan));
@@ -1164,31 +874,12 @@ bool CollectiveRuntime::try_resume_one() {
       records_[id].state = JobState::kRunning;
       trace_job(sim::TraceKind::kJobResume, id, exec->plan->band());
     }
-    running_jobs_ += static_cast<std::uint32_t>(exec->jobs.size());
-    report_.peak_concurrent_jobs =
-        std::max(report_.peak_concurrent_jobs, running_jobs_);
     ++report_.resumes;
     obs::inc(ins_.resumes);
-    running_execs_.push_back(exec);
-    run_step(exec);
+    start(exec);
     return true;
   }
   return false;
-}
-
-void CollectiveRuntime::try_grow(const std::shared_ptr<Execution>& exec) {
-  if (exec->plan->grant() >= exec->useful_cap) return;
-  RenegotiationOutcome outcome = exec->substrate->renegotiate(
-      exec->plan.get(),
-      RenegotiationRequest::grow(exec->next_step, exec->useful_cap));
-  if (!outcome.accepted()) return;
-  adopt_plan(*exec, std::move(outcome.plan));
-  for (const JobId id : exec->jobs) {
-    ++records_[id].resizes;
-    trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-  }
-  ++report_.resizes;
-  obs::inc(ins_.resizes);
 }
 
 void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
@@ -1210,11 +901,11 @@ void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
                            (width - target))) {
       return true;
     }
-    for (const auto& suspended : suspended_) {
-      if (suspended->substrate->kind() != SubstrateKind::kOptical) continue;
-      if (suspended->min_width <= would) return true;
-    }
-    return false;
+    return std::any_of(suspended_.begin(), suspended_.end(),
+                       [&exec, would](const auto& suspended) {
+                         return suspended->substrate == exec->substrate &&
+                                suspended->min_width <= would;
+                       });
   };
   std::uint32_t target = width - 1;
   while (target > exec->min_width && !helps(target)) --target;
@@ -1223,18 +914,24 @@ void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
   // Deeper cuts only make the remainder rebuild harder (the owed mirrors
   // need their level widths), so if the gentlest helping cut cannot
   // rebuild, no helping cut can.
-  RenegotiationOutcome outcome = exec->substrate->renegotiate(
-      exec->plan.get(),
-      RenegotiationRequest::shrink(exec->next_step, target));
-  if (!outcome.accepted()) return;
-  adopt_plan(*exec, std::move(outcome.plan));
-  for (const JobId id : exec->jobs) {
+  if (resize(*exec, RenegotiationRequest::shrink(exec->next_step, target))) {
+    try_admit();
+  }
+}
+
+bool CollectiveRuntime::resize(Execution& exec,
+                               const RenegotiationRequest& request) {
+  RenegotiationOutcome outcome =
+      exec.substrate->renegotiate(exec.plan.get(), request);
+  if (!outcome.accepted()) return false;
+  adopt_plan(exec, std::move(outcome.plan));
+  for (const JobId id : exec.jobs) {
     ++records_[id].resizes;
-    trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
+    trace_job(sim::TraceKind::kJobResize, id, exec.plan->band());
   }
   ++report_.resizes;
   obs::inc(ins_.resizes);
-  try_admit();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,117 +951,66 @@ void CollectiveRuntime::pump_faults() {
   last_fault_at_ = spec->at;
   // Chain exactly like pump_source: the injection event pulls the NEXT
   // fault, so one not-yet-injected fault exists at any instant.
-  const FaultSpec fault = *spec;
-  simulator_.schedule_at(fault.at, [this, fault] {
+  fault_event_ = simulator_.schedule_at(spec->at, [this, fault = *spec] {
     on_fault(fault);
     pump_faults();
   });
 }
 
+void CollectiveRuntime::stop_faults_if_workload_done() {
+  // Every job the source will ever yield has been ingested, and each one
+  // has completed, been rejected, or been killed.
+  if (fault_source_ != nullptr && source_ == nullptr &&
+      report_.completed + report_.rejected + report_.faults.killed_jobs ==
+          report_.submitted) {
+    simulator_.cancel(fault_event_);
+    fault_source_ = nullptr;
+  }
+}
+
 void CollectiveRuntime::on_fault(const FaultSpec& fault) {
-  any_fault_ever_ = true;
-  ++report_.faults.injected;
+  FaultStats& stats = report_.faults;
+  ++stats.injected;
   obs::inc(ins_.faults_injected);
+  std::uint32_t* const by_domain[] = {
+      &stats.transceiver_faults, &stats.node_faults, &stats.tor_faults,
+      &stats.wavelength_faults};
+  ++*by_domain[static_cast<std::size_t>(fault.domain)];
   const util::Seconds now = simulator_.now();
-  const std::uint32_t hpt = std::max(1u, config_.electrical.hosts_per_tor);
-  switch (fault.domain) {
-    case FaultDomain::kTransceiver:
-      WRHT_REQUIRE(fault.subject < config_.ring_size,
-                   "on_fault: transceiver subject " << fault.subject
-                                                    << " off the ring");
-      ++report_.faults.transceiver_faults;
-      ++optical_node_down_[fault.subject];
-      break;
-    case FaultDomain::kNode:
-      WRHT_REQUIRE(fault.subject < config_.ring_size,
-                   "on_fault: node subject " << fault.subject
-                                             << " off the ring");
-      ++report_.faults.node_faults;
-      ++optical_node_down_[fault.subject];
-      ++host_down_[fault.subject];
-      break;
-    case FaultDomain::kTor:
-      ++report_.faults.tor_faults;
-      for (std::uint32_t h = fault.subject * hpt;
-           h < (fault.subject + 1) * hpt && h < config_.ring_size; ++h) {
-        ++host_down_[h];
-      }
-      break;
-    case FaultDomain::kWavelength:
-      WRHT_REQUIRE(fault.subject < config_.optical.wdm.num_wavelengths,
-                   "on_fault: wavelength subject " << fault.subject
-                                                   << " off the spectrum");
-      ++report_.faults.wavelength_faults;
-      ++wavelength_down_[fault.subject];
-      break;
-  }
-  if (trace_.enabled()) {
-    trace_.record(now,
-                  fault.domain == FaultDomain::kWavelength
-                      ? sim::TraceKind::kWavelengthDegrade
-                      : sim::TraceKind::kNodeFail,
-                  fault.subject, static_cast<std::int64_t>(fault.domain),
-                  fault_domain_name(fault.domain));
-  }
-  // Free down units leave service immediately; units inside live grants are
-  // quarantined when their holders release.
-  quarantine_downed_units();
+  trace_.record(now,
+                fault.domain == FaultDomain::kWavelength
+                    ? sim::TraceKind::kWavelengthDegrade
+                    : sim::TraceKind::kNodeFail,
+                fault.subject, static_cast<std::int64_t>(fault.domain),
+                fault_domain_name(fault.domain));
+  // Each substrate takes the fault into its own health state; free down
+  // units leave service immediately, granted ones when their holders
+  // release.
+  for (ExecutionSubstrate* substrate : substrates_) substrate->fail(fault);
 
   // Mark every running execution the fault touches for reconciliation at
   // its next BSP step boundary — the in-flight step finishes first (its
   // transfers were committed when the step was dispatched).
   for (const auto& exec : running_execs_) {
-    bool hit = false;
-    bool migrate = false;
-    if (exec->substrate->kind() == SubstrateKind::kOptical) {
-      if (fault.domain == FaultDomain::kTransceiver ||
-          fault.domain == FaultDomain::kNode) {
-        hit = std::find(exec->participants.begin(), exec->participants.end(),
-                        fault.subject) != exec->participants.end() &&
-              std::find(exec->evicted.begin(), exec->evicted.end(),
-                        fault.subject) == exec->evicted.end();
-      } else if (fault.domain == FaultDomain::kWavelength) {
-        const WavelengthBand band = exec->plan->band();
-        hit = fault.subject >= band.base &&
-              fault.subject < band.base + band.width;
-      }
-    } else {
-      if (fault.domain == FaultDomain::kNode ||
-          fault.domain == FaultDomain::kTor) {
-        const std::vector<topo::NodeId> hosts = exec->plan->hosts();
-        for (const topo::NodeId host : hosts) {
-          if (host_down_[host] != 0) {
-            hit = true;
-            migrate = fault.domain == FaultDomain::kTor;
-            break;
-          }
-        }
-      }
+    if (!exec->substrate->disrupts(*exec->plan, exec->recipients, fault)) {
+      continue;
     }
-    if (!hit) continue;
-    const bool first = !exec->fault_pending && !exec->migrate_pending;
-    if (migrate) {
-      exec->migrate_pending = true;
-    } else {
-      exec->fault_pending = true;
-    }
-    if (first) ++report_.faults.disrupted_executions;
+    if (!exec->fault_pending) ++report_.faults.disrupted_executions;
+    exec->fault_pending = true;
     if (exec->fault_since.value() <= 0.0) exec->fault_since = now;
   }
 
-  // Suspended optical work whose survivor set this fault just shrank below
-  // two can never resume — kill it now rather than strand it (and the
+  // Suspended work whose survivor set this fault just shrank below two can
+  // never resume — kill it now rather than strand it (and the
   // drained-clock invariant) behind a resume that will refuse forever.
-  if (fault.domain == FaultDomain::kTransceiver ||
-      fault.domain == FaultDomain::kNode) {
-    const std::vector<std::shared_ptr<Execution>> snapshot = suspended_;
-    for (const auto& exec : snapshot) {
-      if (exec->substrate->kind() != SubstrateKind::kOptical) continue;
-      if (std::find(suspended_.begin(), suspended_.end(), exec) ==
-          suspended_.end()) {
-        continue;  // a kill's admission re-run already moved it
-      }
-      if (live_participants(*exec).size() < 2) kill_execution(exec);
+  // (A kill's admission re-run may already have moved a later one.)
+  const std::vector<std::shared_ptr<Execution>> snapshot = suspended_;
+  for (const auto& exec : snapshot) {
+    if (exec->suspended &&
+        exec->recipients.size() -
+                exec->substrate->down_among(exec->recipients).size() <
+            2) {
+      kill_execution(exec);
     }
   }
 
@@ -1379,100 +1025,14 @@ void CollectiveRuntime::on_fault(const FaultSpec& fault) {
 void CollectiveRuntime::on_fault_repair(const FaultSpec& fault) {
   ++report_.faults.repairs;
   obs::inc(ins_.fault_repairs);
-  const std::uint32_t hpt = std::max(1u, config_.electrical.hosts_per_tor);
-  // Refcounted un-down: overlapping faults on one subject must not
-  // resurrect it on the FIRST repair.
-  const auto lower = [](std::uint8_t& count) {
-    WRHT_CHECK(count > 0, "on_fault_repair: repair without a fault");
-    --count;
-  };
-  switch (fault.domain) {
-    case FaultDomain::kTransceiver:
-      lower(optical_node_down_[fault.subject]);
-      break;
-    case FaultDomain::kNode:
-      lower(optical_node_down_[fault.subject]);
-      lower(host_down_[fault.subject]);
-      break;
-    case FaultDomain::kTor:
-      for (std::uint32_t h = fault.subject * hpt;
-           h < (fault.subject + 1) * hpt && h < config_.ring_size; ++h) {
-        lower(host_down_[h]);
-      }
-      break;
-    case FaultDomain::kWavelength:
-      lower(wavelength_down_[fault.subject]);
-      break;
-  }
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
-                  fault.subject, static_cast<std::int64_t>(fault.domain),
-                  fault_domain_name(fault.domain));
-  }
-  restore_repaired_units();
+  trace_.record(simulator_.now(), sim::TraceKind::kFaultRepair,
+                fault.subject, static_cast<std::int64_t>(fault.domain),
+                fault_domain_name(fault.domain));
+  for (ExecutionSubstrate* substrate : substrates_) substrate->repair(fault);
   // Restored capacity is free capacity: suspended work may resume and
   // queued work may admit at this very instant.
   try_admit();
   pump_metrics();
-}
-
-void CollectiveRuntime::quarantine_downed_units() {
-  for (std::uint32_t w = 0;
-       w < static_cast<std::uint32_t>(wavelength_down_.size()); ++w) {
-    if (wavelength_down_[w] == 0 || wavelength_quarantined_[w]) continue;
-    if (optical_->quarantine_unit(w)) wavelength_quarantined_[w] = true;
-  }
-  if (!electrical_) return;
-  for (std::uint32_t h = 0;
-       h < static_cast<std::uint32_t>(host_down_.size()); ++h) {
-    if (host_down_[h] == 0 || host_quarantined_[h]) continue;
-    if (electrical_->quarantine_unit(h)) host_quarantined_[h] = true;
-  }
-}
-
-void CollectiveRuntime::restore_repaired_units() {
-  for (std::uint32_t w = 0;
-       w < static_cast<std::uint32_t>(wavelength_down_.size()); ++w) {
-    if (!wavelength_quarantined_[w] || wavelength_down_[w] != 0) continue;
-    optical_->restore_unit(w);
-    wavelength_quarantined_[w] = false;
-  }
-  if (!electrical_) return;
-  for (std::uint32_t h = 0;
-       h < static_cast<std::uint32_t>(host_down_.size()); ++h) {
-    if (!host_quarantined_[h] || host_down_[h] != 0) continue;
-    electrical_->restore_unit(h);
-    host_quarantined_[h] = false;
-  }
-}
-
-std::vector<topo::NodeId> CollectiveRuntime::newly_dead(
-    const Execution& exec) const {
-  std::vector<topo::NodeId> dead;
-  for (const topo::NodeId node : exec.participants) {
-    if (optical_node_down_[node] == 0) continue;
-    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
-        exec.evicted.end()) {
-      continue;
-    }
-    dead.push_back(node);
-  }
-  return dead;
-}
-
-std::vector<topo::NodeId> CollectiveRuntime::live_participants(
-    const Execution& exec) const {
-  std::vector<topo::NodeId> live;
-  live.reserve(exec.participants.size());
-  for (const topo::NodeId node : exec.participants) {
-    if (optical_node_down_[node] != 0) continue;
-    if (std::find(exec.evicted.begin(), exec.evicted.end(), node) !=
-        exec.evicted.end()) {
-      continue;
-    }
-    live.push_back(node);
-  }
-  return live;
 }
 
 void CollectiveRuntime::note_recovery(Execution& exec) {
@@ -1501,216 +1061,157 @@ void CollectiveRuntime::kill_execution(
       static_cast<std::uint32_t>(exec->jobs.size());
   if (exec->suspended) {
     suspended_.erase(std::find(suspended_.begin(), suspended_.end(), exec));
+    exec->suspended = false;
   } else {
     running_jobs_ -= static_cast<std::uint32_t>(exec->jobs.size());
     exec->substrate->release(*exec->plan, simulator_.now());
-    quarantine_downed_units();
     running_execs_.erase(
         std::find(running_execs_.begin(), running_execs_.end(), exec));
   }
-  exec->fault_since = util::Seconds(0.0);  // killed, not recovered
   try_admit();
+  stop_faults_if_workload_done();
   pump_metrics();
 }
 
-bool CollectiveRuntime::handle_fault_at_boundary(
+bool CollectiveRuntime::reconcile_faults(
     const std::shared_ptr<Execution>& exec) {
-  return exec->substrate->kind() == SubstrateKind::kOptical
-             ? handle_optical_fault(exec)
-             : handle_electrical_fault(exec);
-}
-
-bool CollectiveRuntime::handle_optical_fault(
-    const std::shared_ptr<Execution>& exec) {
+  using Kind = FaultRemedy::Kind;
   exec->fault_pending = false;
-  const std::vector<topo::NodeId> dead = newly_dead(*exec);
-  const WavelengthBand band = exec->plan->band();
-  std::uint32_t first_degraded = band.width;  // band-relative index
-  for (std::uint32_t i = 0; i < band.width; ++i) {
-    if (wavelength_down_[band.base + i] != 0) {
-      first_degraded = i;
-      break;
-    }
-  }
-  if (dead.empty() && first_degraded == band.width) {
+  ExecutionSubstrate& substrate = *exec->substrate;
+  const FaultRemedy remedy =
+      substrate.remedy(*exec->plan, exec->recipients, exec->min_width);
+  if (remedy.kind == Kind::kNone) {
     // Stale marker: the repair beat this boundary.  The execution never
     // actually stopped — close the recovery window and carry on.
     note_recovery(*exec);
     return false;
   }
-
-  if (!dead.empty()) {
-    if (exec->participants.size() - exec->evicted.size() - dead.size() < 2) {
-      kill_execution(exec);
-      return true;
-    }
-    if (first_degraded == band.width) {
-      // Survivor rebuild in place: same band, remainder re-proven with the
-      // dead nodes stripped from its delivery set.
-      RenegotiationOutcome outcome = exec->substrate->renegotiate(
-          exec->plan.get(),
-          RenegotiationRequest::evict(exec->next_step, dead));
-      if (outcome.accepted()) {
-        exec->evicted.insert(exec->evicted.end(), dead.begin(), dead.end());
-        ++report_.faults.evictions;
-        adopt_plan(*exec, std::move(outcome.plan));
-        note_recovery(*exec);
-        return false;  // still running; the caller dispatches the next step
-      }
-    }
-    // The remainder cannot absorb the eviction (a dead node still carries
-    // live state), or the band itself is degraded: discard the prefix and
-    // restart fresh among the survivors on freshly-allocated spectrum.
-    report_.faults.wasted_step_time += exec->busy_time;
-    exec->busy_time = util::Seconds(0.0);
-    exec->quiet_time = util::Seconds(0.0);
-    exec->participants = live_participants(*exec);
-    exec->useful_cap = useful_wavelength_cap(exec->participants.size());
-    exec->executed.clear();
-    exec->evicted.clear();
-    exec->next_step = 0;
-    exec->substrate->release(*exec->plan, simulator_.now());
-    quarantine_downed_units();
-    const std::uint32_t desired =
-        std::clamp(band.width, exec->min_width, exec->useful_cap);
-    publish_optical_demand(exec.get());
-    RenegotiationOutcome restart = exec->substrate->renegotiate(
-        nullptr,
-        RenegotiationRequest::restart(exec->participants,
-                                      exec->batch_payload, desired,
-                                      exec->min_width));
-    if (restart.accepted()) {
-      ++report_.faults.restarts;
-      adopt_plan(*exec, std::move(restart.plan));
-      note_recovery(*exec);
-      // The band moved: record the new claim so band-disjointness audits
-      // can follow the execution across the restart.
-      for (const JobId id : exec->jobs) {
-        trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-      }
-      return false;
-    }
-    exec->fresh_restart = true;
-    suspend_released(exec, /*fault=*/true);
+  if (!remedy.dead.empty() &&
+      exec->recipients.size() - remedy.dead.size() < 2) {
+    kill_execution(exec);
     return true;
   }
-
-  // Pure wavelength degradation on the held band: keep the healthy prefix
-  // when the floor allows, surrender the band otherwise.
-  if (first_degraded >= exec->min_width) {
-    RenegotiationOutcome outcome = exec->substrate->renegotiate(
+  if (remedy.kind == Kind::kEvict) {
+    // Survivor rebuild in place: same grant, remainder re-proven with the
+    // dead nodes stripped from its delivery set.
+    RenegotiationOutcome outcome = substrate.renegotiate(
         exec->plan.get(),
-        RenegotiationRequest::shrink(exec->next_step, first_degraded));
+        RenegotiationRequest::evict(exec->next_step, remedy.dead));
     if (outcome.accepted()) {
+      exec->recipients = without(exec->recipients, remedy.dead);
+      ++report_.faults.evictions;
       adopt_plan(*exec, std::move(outcome.plan));
-      for (const JobId id : exec->jobs) {
-        ++records_[id].resizes;
-        trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
-      }
-      ++report_.resizes;
-      obs::inc(ins_.resizes);
-      // The shrink just freed the degraded tail; take it out of service.
-      quarantine_downed_units();
       note_recovery(*exec);
-      return false;
+      return false;  // still running; the caller dispatches the next step
     }
   }
+  if (remedy.kind == Kind::kEvict || remedy.kind == Kind::kRestart) {
+    // The remainder cannot absorb the eviction (a dead node still carries
+    // live state), or the grant itself is degraded: discard the prefix and
+    // restart fresh among the survivors on a fresh grant.
+    const std::uint32_t width = exec->plan->band().width;
+    discard_prefix(*exec, without(exec->recipients, remedy.dead));
+    substrate.release(*exec->plan, simulator_.now());
+    RenegotiationOutcome outcome = restart_on(
+        substrate, *exec, std::clamp(width, exec->min_width, exec->useful_cap));
+    if (!outcome.accepted()) {
+      exec->fresh_restart = true;
+      suspend_execution(exec, /*fault=*/true);
+      return true;
+    }
+    ++report_.faults.restarts;
+    adopt_plan(*exec, std::move(outcome.plan));
+    note_recovery(*exec);
+    // The band moved: record the new claim so band-disjointness audits
+    // can follow the execution across the restart.
+    for (const JobId id : exec->jobs) {
+      trace_job(sim::TraceKind::kJobResize, id, exec->plan->band());
+    }
+    return false;
+  }
+  if (remedy.kind == Kind::kShrink &&
+      resize(*exec,
+             RenegotiationRequest::shrink(exec->next_step, remedy.keep))) {
+    note_recovery(*exec);
+    return false;
+  }
+  if (remedy.kind == Kind::kMigrate && migrate(exec)) return false;
+  // Nothing in place can carry the work: fault-suspend until repair or
+  // free capacity.  A resume re-places the remainder (electrical hosts
+  // checkpoint at BSP boundaries, so a dead host costs a remap, not data).
   suspend_execution(exec, /*fault=*/true);
   return true;
 }
 
-bool CollectiveRuntime::handle_electrical_fault(
-    const std::shared_ptr<Execution>& exec) {
-  const bool migrate = exec->migrate_pending;
-  exec->fault_pending = false;
-  exec->migrate_pending = false;
-  const std::vector<topo::NodeId> hosts = exec->plan->hosts();
-  bool any_down = false;
-  for (const topo::NodeId host : hosts) {
-    if (host_down_[host] != 0) {
-      any_down = true;
-      break;
+bool CollectiveRuntime::migrate(const std::shared_ptr<Execution>& exec) {
+  for (ExecutionSubstrate* target : substrates_) {
+    // Only migratable work qualifies: every carried job allowed on the
+    // target, and every participant in service there (the restart re-runs
+    // the all-reduce from the participants' initial gradients).  The
+    // restart is tried before any state is mutated, so a refusal degrades
+    // cleanly into the fault-suspend.
+    const bool allowed = std::all_of(
+        exec->jobs.begin(), exec->jobs.end(), [this, target](JobId id) {
+          return target->accepts(records_[id].spec.pin);
+        });
+    if (target == exec->substrate || !allowed ||
+        !target->down_among(exec->participants).empty()) {
+      continue;
     }
-  }
-  if (!any_down) {
+    RenegotiationOutcome outcome = restart_on(
+        *target, *exec,
+        std::clamp(config_.default_request, exec->min_width,
+                   exec->useful_cap));
+    if (!outcome.accepted()) continue;
+    discard_prefix(*exec, exec->participants);
+    exec->substrate->release(*exec->plan, simulator_.now());
+    // The jobs change fabric mid-flight; move their breakdown slice so
+    // per-substrate job counts keep closing against completions.
+    const auto moved = static_cast<std::uint32_t>(exec->jobs.size());
+    SubstrateBreakdown& from = breakdown(exec->substrate->kind());
+    SubstrateBreakdown& to = breakdown(target->kind());
+    from.jobs -= moved;
+    to.jobs += moved;
+    --from.executions;
+    ++to.executions;
+    exec->substrate = target;
+    adopt_plan(*exec, std::move(outcome.plan));
+    ++report_.faults.migrations;
     note_recovery(*exec);
-    return false;  // stale marker: the repair beat this boundary
-  }
-
-  if (migrate) {
-    // A ToR loss took the whole host group down at once, but the optical
-    // ring is untouched — try a cross-substrate restart FIRST, before any
-    // electrical state is mutated, so a refusal degrades cleanly into the
-    // ordinary fault-suspend below.  Only migratable work qualifies: no
-    // job pinned to the electrical fabric, and every participant's ring
-    // position optically alive (the restart re-runs the all-reduce from
-    // the participants' initial gradients).
-    bool migratable = true;
     for (const JobId id : exec->jobs) {
-      if (records_[id].spec.pin == SubstratePin::kElectricalOnly) {
-        migratable = false;
-        break;
-      }
+      records_[id].substrate = target->kind();
+      trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
     }
-    for (const topo::NodeId node : exec->participants) {
-      if (optical_node_down_[node] != 0) {
-        migratable = false;
-        break;
-      }
-    }
-    if (migratable) {
-      const std::uint32_t desired = std::clamp(
-          config_.default_request, exec->min_width, exec->useful_cap);
-      publish_optical_demand(exec.get());
-      RenegotiationOutcome outcome = optical_->renegotiate(
-          nullptr,
-          RenegotiationRequest::restart(exec->participants,
-                                        exec->batch_payload, desired,
-                                        exec->min_width));
-      if (outcome.accepted()) {
-        report_.faults.wasted_step_time += exec->busy_time;
-        exec->busy_time = util::Seconds(0.0);
-        exec->quiet_time = util::Seconds(0.0);
-        exec->substrate->release(*exec->plan, simulator_.now());
-        quarantine_downed_units();
-        // The jobs change fabric mid-flight; move their breakdown slice so
-        // per-substrate job counts keep closing against completions.
-        const auto moved = static_cast<std::uint32_t>(exec->jobs.size());
-        report_.electrical.jobs -= moved;
-        report_.optical.jobs += moved;
-        --report_.electrical.executions;
-        ++report_.optical.executions;
-        exec->substrate = optical_.get();
-        exec->executed.clear();
-        exec->evicted.clear();
-        exec->next_step = 0;
-        adopt_plan(*exec, std::move(outcome.plan));
-        ++report_.faults.migrations;
-        note_recovery(*exec);
-        for (const JobId id : exec->jobs) {
-          records_[id].substrate = SubstrateKind::kOptical;
-          trace_job(sim::TraceKind::kJobMigrate, id, exec->plan->band());
-        }
-        return false;  // still running; the caller dispatches step 0
-      }
-    }
+    return true;  // still running; the caller dispatches step 0
   }
+  return false;
+}
 
-  // A node fault on a held host, or a migration that could not happen:
-  // fault-suspend.  Hosts checkpoint at BSP boundaries, so a dead host
-  // costs a remap at resume, not data — the resume simply picks a live
-  // host set (the dead ones are quarantined the moment this release
-  // frees them).
-  suspend_execution(exec, /*fault=*/true);
-  return true;
+void CollectiveRuntime::discard_prefix(Execution& exec,
+                                       std::vector<topo::NodeId> survivors) {
+  report_.faults.wasted_step_time += exec.busy_time;
+  exec.busy_time = util::Seconds(0.0);
+  exec.quiet_time = util::Seconds(0.0);
+  exec.participants = survivors;
+  exec.recipients = std::move(survivors);
+  exec.useful_cap = useful_wavelength_cap(exec.participants.size());
+  exec.executed.clear();
+  exec.next_step = 0;
+}
+
+RenegotiationOutcome CollectiveRuntime::restart_on(ExecutionSubstrate& target,
+                                                   Execution& exec,
+                                                   std::uint32_t desired) {
+  publish_demand(target, &exec);
+  return target.renegotiate(
+      nullptr, RenegotiationRequest::restart(exec.participants,
+                                             exec.batch_payload, desired,
+                                             exec.min_width));
 }
 
 void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kStepBegin,
-                  exec->jobs.front(),
-                  static_cast<std::int64_t>(exec->next_step));
-  }
+  trace_.record(simulator_.now(), sim::TraceKind::kStepBegin,
+                exec->jobs.front(), static_cast<std::int64_t>(exec->next_step));
   const StepTiming timing = exec->substrate->time_step(
       *exec->plan, exec->next_step, simulator_.now());
   ++report_.total_steps;
@@ -1719,17 +1220,12 @@ void CollectiveRuntime::run_step(const std::shared_ptr<Execution>& exec) {
   ++breakdown(exec->substrate->kind()).steps;
   exec->step_started = simulator_.now();
   exec->quiet_time += timing.quiet;
-  schedule_step_end(exec, timing.end);
+  exec->step_event =
+      simulator_.schedule_at(timing.end, [this, exec] { on_step_end(exec); });
   // Injecting this step's flows may have changed what every OTHER tenant on
   // a shared fabric gets; their completion events move with the contention.
   apply_retimings(*exec->substrate);
   pump_metrics();
-}
-
-void CollectiveRuntime::schedule_step_end(
-    const std::shared_ptr<Execution>& exec, util::Seconds end) {
-  exec->step_event =
-      simulator_.schedule_at(end, [this, exec] { on_step_end(exec); });
 }
 
 void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
@@ -1738,11 +1234,8 @@ void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
   // quiet prediction, so busy_time / quiet_time is the contention slowdown.
   exec->busy_time += simulator_.now() - exec->step_started;
   report_.step_time_total += simulator_.now() - exec->step_started;
-  if (trace_.enabled()) {
-    trace_.record(simulator_.now(), sim::TraceKind::kStepEnd,
-                  exec->jobs.front(),
-                  static_cast<std::int64_t>(exec->next_step));
-  }
+  trace_.record(simulator_.now(), sim::TraceKind::kStepEnd,
+                exec->jobs.front(), static_cast<std::int64_t>(exec->next_step));
   ++exec->next_step;
   if (exec->next_step >= exec->plan->num_steps()) {
     finish_execution(exec);
@@ -1762,7 +1255,8 @@ void CollectiveRuntime::apply_retimings(ExecutionSubstrate& substrate) {
     for (const std::shared_ptr<Execution>& exec : running_execs_) {
       if (exec->plan.get() != retiming.exec) continue;
       simulator_.cancel(exec->step_event);
-      schedule_step_end(exec, retiming.end);
+      exec->step_event = simulator_.schedule_at(
+          retiming.end, [this, exec = exec] { on_step_end(exec); });
       ++report_.step_retimes;
       obs::inc(ins_.step_retimes);
       if (trace_.enabled()) {
@@ -1781,10 +1275,10 @@ void CollectiveRuntime::finish_execution(
   // Contention slowdown of the whole execution: what its steps cost on the
   // (possibly shared) fabric vs. what they would have cost alone.  Jobs
   // fused into one execution shared every step, so they share the ratio.
-  const double slowdown = exec->quiet_time.value() > 0.0
-                              ? exec->busy_time.value() /
-                                    exec->quiet_time.value()
-                              : 0.0;
+  const double slowdown =
+      exec->quiet_time.value() > 0.0
+          ? exec->busy_time.value() / exec->quiet_time.value()
+          : 0.0;
   for (const JobId id : exec->jobs) {
     JobRecord& record = records_[id];
     record.state = JobState::kDone;
@@ -1829,41 +1323,21 @@ void CollectiveRuntime::finish_execution(
   obs::inc(ins_.jobs_completed,
            static_cast<std::uint64_t>(exec->jobs.size()));
   exec->substrate->release(*exec->plan, simulator_.now());
-  // The finished execution may have been holding down units hostage (a
-  // fault landed mid-grant); they only become quarantinable now.
-  if (any_fault_ever_) quarantine_downed_units();
   running_execs_.erase(
       std::find(running_execs_.begin(), running_execs_.end(), exec));
   try_admit();
+  stop_faults_if_workload_done();
   pump_metrics();
 }
 
 RuntimeReport CollectiveRuntime::run() {
   WRHT_REQUIRE(!started_, "CollectiveRuntime: run() called twice");
-  started_ = true;
-  for (const JobRecord& record : records_) {
-    if (record.state != JobState::kSubmitted) continue;  // rejected
-    const JobId id = record.id;
-    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
-  }
-  return drive();
+  return drive(nullptr);
 }
 
 RuntimeReport CollectiveRuntime::serve(JobSource& source) {
   WRHT_REQUIRE(!started_, "CollectiveRuntime: serve() after run()");
-  started_ = true;
-  // Jobs submitted before serve() still run (the CLI submits warm-up jobs
-  // this way); the stream chains in alongside them.
-  for (const JobRecord& record : records_) {
-    if (record.state != JobState::kSubmitted) continue;  // rejected
-    const JobId id = record.id;
-    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
-  }
-  source_ = &source;
-  pump_source(util::Seconds(0.0));
-  RuntimeReport report = drive();
-  source_ = nullptr;
-  return report;
+  return drive(&source);
 }
 
 void CollectiveRuntime::pump_source(util::Seconds floor) {
@@ -1891,13 +1365,26 @@ void CollectiveRuntime::pump_source(util::Seconds floor) {
   }
 }
 
-RuntimeReport CollectiveRuntime::drive() {
-  if (config_.metrics) {
-    // Run-start bookend: every counter track opens at t=0 with the idle
-    // state, so the Chrome trace's series span the whole run.
+RuntimeReport CollectiveRuntime::drive(JobSource* source) {
+  started_ = true;
+  // Jobs submitted before serve() still run (the CLI submits warm-up jobs
+  // this way); the stream chains in alongside them.
+  for (const JobRecord& record : records_) {
+    if (record.state != JobState::kSubmitted) continue;  // rejected
+    const JobId id = record.id;
+    simulator_.schedule_at(record.spec.arrival, [this, id] { on_arrival(id); });
+  }
+  source_ = source;
+  pump_source(util::Seconds(0.0));
+  // Metric bookends: every counter track opens at t=0 with the idle state
+  // and closes with a forced snapshot at the drained clock, so the Chrome
+  // trace's series span the whole run whatever the cadence.
+  const auto bookend = [this] {
+    if (!config_.metrics) return;
     pump_metrics();
     config_.metrics->sampler().sample_now(simulator_.now());
-  }
+  };
+  bookend();
   // The fault stream chains in exactly like the job stream: one
   // not-yet-injected fault in the event queue at any instant.
   fault_source_ = config_.faults;
@@ -1918,9 +1405,10 @@ RuntimeReport CollectiveRuntime::drive() {
   // horizon into a fresh network and must reproduce every incremental step
   // time (aborts on disagreement); the per-link peaks tell the congestion
   // story the slowdown numbers summarize.
-  report_.replay_checked_steps += optical_->self_check();
+  for (ExecutionSubstrate* substrate : substrates_) {
+    report_.replay_checked_steps += substrate->self_check();
+  }
   if (electrical_) {
-    report_.replay_checked_steps += electrical_->self_check();
     report_.electrical_link_peak = electrical_->link_peak_utilization();
   }
   if (report_.routing.decisions > 0) {
@@ -1930,12 +1418,7 @@ RuntimeReport CollectiveRuntime::drive() {
     report_.routing.mean_error =
         routing_error_sum_ / static_cast<double>(report_.routing.decisions);
   }
-  if (config_.metrics) {
-    // Run-end bookend: a final forced snapshot so the series' last point
-    // sits at the drained clock, whatever the cadence.
-    pump_metrics();
-    config_.metrics->sampler().sample_now(simulator_.now());
-  }
+  bookend();
   // Exact nearest-rank SLO percentiles from the job records — computed
   // whether or not a registry is installed, so the report's quantiles are
   // bit-for-bit reproducible from records() by tests.

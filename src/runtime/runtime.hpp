@@ -40,13 +40,25 @@
 //
 // Step-boundary renegotiation: on substrates whose caps() allow it, the
 // runtime may PREEMPT an execution at a step boundary (suspend it,
-// surrender its whole band to a higher-priority arrival under
-// FairnessPolicy::kPriorityPreempt, resume it later on whatever band it
+// surrender its whole grant to a higher-priority waiter under
+// FairnessPolicy::kPriorityPreempt, resume it later on whatever grant it
 // regains) or RESIZE it (grow into freed neighboring spectrum, or shrink
-// toward the job's floor when queued tenants starve).  Both paths rebuild
+// toward the job's floor when queued tenants starve).  Every path rebuilds
 // the execution's remaining schedule through the substrate and every
 // rebuilt remainder is re-proven with the oracle — composed with the
 // functional steps already executed — before it touches the fabric.
+//
+// Policy here, mechanism in the substrates: the runtime runs ONE
+// admit -> preempt -> reconcile cycle whatever the fabric.  It picks the
+// most urgent waiter per substrate and says whom it outranks; the substrate
+// ranks the victims (preemption_victims).  A fault is applied to every
+// substrate's own health state (fail / repair); the substrate says which
+// running plans it disrupts and, at their next step boundary, what they
+// need (remedy).  The runtime then kills a job left with fewer than two
+// live participants, or carries out the remedy through renegotiate():
+// evict in place, restart among the survivors (one helper, shared with the
+// resume path), shrink to the healthy prefix, migrate to another
+// substrate, or fault-suspend until repair.
 #pragma once
 
 #include <cstdint>
@@ -119,7 +131,6 @@ struct RuntimeConfig {
   BatcherConfig batcher{};
   /// Wavelength request used when a JobSpec leaves requested_wavelengths 0.
   std::uint32_t default_request = 8;
-  optical::FitPolicy fit_policy = optical::FitPolicy::kFirstFit;
   /// Prove every execution's schedule with the functional oracle before
   /// running it (cheap: oracle payloads are oracle_payload_len doubles).
   bool validate_with_oracle = true;
@@ -391,24 +402,21 @@ class CollectiveRuntime {
     std::uint32_t min_width = 1;
     /// Widest band the execution can exploit (growth ceiling).
     std::uint32_t useful_cap = 1;
+    /// Every node whose contribution the all-reduce sums.
     std::vector<topo::NodeId> participants;
+    /// The participants that must end holding the sum: all of them, minus
+    /// the failed ones already stripped from the remainder's delivery set
+    /// (their contributions are merged; their hardware is gone).
+    std::vector<topo::NodeId> recipients;
     util::Bytes batch_payload;
     std::vector<coll::Step> executed;
     std::size_t next_step = 0;
-    /// Failed participants already stripped from the remainder's delivery
-    /// set (their contributions are merged; their hardware is gone).  The
-    /// composite oracle proves the sum over ALL of `participants` reaches
-    /// every participant EXCEPT these.
-    std::vector<topo::NodeId> evicted;
-    /// A queued higher-priority job asked for this band; surrender it at
+    /// A queued higher-priority job asked for this grant; surrender it at
     /// the next step boundary.
     bool preempt_requested = false;
-    /// A fault touched this execution's resources; reconcile against the
-    /// down sets at the next step boundary.
+    /// A fault touched this execution's resources; ask its substrate for a
+    /// remedy at the next step boundary.
     bool fault_pending = false;
-    /// A ToR fault orphaned this electrical execution; attempt a
-    /// cross-substrate restart at the next step boundary.
-    bool migrate_pending = false;
     /// The executed prefix was discarded (the remainder could not absorb
     /// an eviction): the next resume issues kRestart among `participants`
     /// (already shrunk to the survivors) instead of kResume.
@@ -439,26 +447,29 @@ class CollectiveRuntime {
   /// next spec in turn.  `floor` is the previous arrival time, enforcing
   /// the source's nondecreasing-arrival contract.
   void pump_source(util::Seconds floor);
-  /// Shared tail of run()/serve(): bookend the metrics, drain the clock,
-  /// run the end-of-run audits, and seal the report.
-  RuntimeReport drive();
+  /// Shared body of run()/serve(): schedule the pre-submitted arrivals,
+  /// chain in `source` (null for run()), bookend the metrics, drain the
+  /// clock, run the end-of-run audits, and seal the report.
+  RuntimeReport drive(JobSource* source);
   void on_arrival(JobId id);
-  void release_fuse_hold(JobId id);
   void try_admit();
-  void admit(const AdmissionDecision& decision);
   /// Shared placement tail: pop the queue entry at `queue_index` (plus its
   /// fusable peers when the substrate batches), build the plan with `grant`
   /// units on `substrate`, prove it, and dispatch its first step.
   void place_execution(ExecutionSubstrate& substrate, std::size_t queue_index,
                        std::uint32_t grant);
+  /// Count exec's jobs as running and dispatch its next step.
+  void start(const std::shared_ptr<Execution>& exec);
   /// Hybrid placement: move one queued job onto the electrical fallback
   /// (kElectricalOverflow: anything still queued; kCostModelChoice: only
   /// jobs the cost models route there).  Returns true when a job was placed.
   bool try_place_one_electrical();
+  /// Completion prediction under the configured routing cost model.
+  [[nodiscard]] util::Seconds predict(
+      const ExecutionSubstrate& substrate,
+      const std::vector<topo::NodeId>& participants, util::Bytes payload,
+      std::uint32_t grant) const;
   void run_step(const std::shared_ptr<Execution>& exec);
-  /// Schedule (or re-schedule) exec's in-flight step completion at `end`.
-  void schedule_step_end(const std::shared_ptr<Execution>& exec,
-                         util::Seconds end);
   /// The step-completion event body: fold the step's wall-clock, then
   /// finish / renegotiate / dispatch the next step.
   void on_step_end(const std::shared_ptr<Execution>& exec);
@@ -475,90 +486,85 @@ class CollectiveRuntime {
   /// same-instant resume already restarted the execution (the resume
   /// dispatched it).
   [[nodiscard]] bool renegotiate(const std::shared_ptr<Execution>& exec);
-  /// `fault` marks a fault-triggered suspension: counted separately, and
-  /// the units the release just freed are quarantined BEFORE the re-run of
-  /// admission can hand them to anyone else.
+  /// Release exec's grant (a no-op when a refused restart already did) and
+  /// park it for a later resume.  `fault` marks a fault-triggered
+  /// suspension, counted separately.
   void suspend_execution(const std::shared_ptr<Execution>& exec,
                          bool fault = false);
-  /// suspend_execution minus the release — for paths that already
-  /// surrendered the grant (a refused in-place restart attempt).
-  void suspend_released(const std::shared_ptr<Execution>& exec, bool fault);
   bool try_resume_one();
 
   /// Pull the next fault from the stream and schedule its injection event
   /// (which chains the next pull) — the chaos mirror of pump_source.
   void pump_faults();
-  /// The injection event body: update the down sets, quarantine free
-  /// units, mark affected executions for boundary reconciliation, kill
-  /// unrecoverable suspended work, and schedule the repair.
+  /// Once the workload is done — the source exhausted and every job
+  /// completed, rejected or killed, so nothing is still to arrive, queued,
+  /// running or suspended — drop the pending injection and stop pulling,
+  /// so a long fault horizon cannot keep the clock running after the last
+  /// job.  Called where live work drains (completions and kills).
+  void stop_faults_if_workload_done();
+  /// The injection event body: apply the fault to every substrate, mark
+  /// the running executions it disrupts, kill suspended work it left
+  /// without a quorum, and schedule the repair.
   void on_fault(const FaultSpec& fault);
   void on_fault_repair(const FaultSpec& fault);
-  /// Boundary reconciliation of a fault-marked execution against the
-  /// CURRENT down sets (a repair may have landed first — then this is a
-  /// no-op recovery).  Returns true when the caller must not dispatch the
-  /// next step (killed, suspended, or the execution now runs a plan whose
-  /// dispatch happened elsewhere).
-  [[nodiscard]] bool handle_fault_at_boundary(
-      const std::shared_ptr<Execution>& exec);
-  [[nodiscard]] bool handle_optical_fault(
-      const std::shared_ptr<Execution>& exec);
-  [[nodiscard]] bool handle_electrical_fault(
-      const std::shared_ptr<Execution>& exec);
+  /// Boundary reconciliation of a fault-marked execution: carry out the
+  /// remedy its substrate names against the CURRENT down sets (a repair may
+  /// have landed first — then this is a no-op recovery).  Returns true when
+  /// the caller must not dispatch the next step (killed or suspended).
+  [[nodiscard]] bool reconcile_faults(const std::shared_ptr<Execution>& exec);
+  /// Cross-substrate restart of a fault-orphaned execution on the first
+  /// other substrate that accepts every carried job, has every participant
+  /// in service, and grants the restart.  True when the execution moved.
+  [[nodiscard]] bool migrate(const std::shared_ptr<Execution>& exec);
+  /// Throw away the executed prefix — its step time becomes waste — and
+  /// make `survivors` the participant and recipient set of the next plan.
+  void discard_prefix(Execution& exec, std::vector<topo::NodeId> survivors);
+  /// kRestart of exec's work on `target` with `desired` units.
+  [[nodiscard]] RenegotiationOutcome restart_on(ExecutionSubstrate& target,
+                                                Execution& exec,
+                                                std::uint32_t desired);
   /// Faults left fewer than 2 live participants: mark every carried job
   /// JobState::kFailed, release the grant, and drop the execution.
   void kill_execution(const std::shared_ptr<Execution>& exec);
   /// Close the MTTR window opened when a fault disrupted this running
   /// execution (no-op when none is open).
   void note_recovery(Execution& exec);
-  /// Take every currently-down FREE unit out of service (degraded
-  /// wavelengths on the optical substrate, down hosts on the electrical
-  /// one).  Called after every release on a faulty run, so freed dead
-  /// capacity is never re-granted.
-  void quarantine_downed_units();
-  /// Return every quarantined unit whose down refcount dropped to zero.
-  void restore_repaired_units();
-  /// Participants currently down and not yet evicted — the nodes the next
-  /// renegotiation must drop.
-  [[nodiscard]] std::vector<topo::NodeId> newly_dead(
-      const Execution& exec) const;
-  /// participants − evicted − newly dead: the survivor set a restart runs
-  /// among.
-  [[nodiscard]] std::vector<topo::NodeId> live_participants(
-      const Execution& exec) const;
   /// Ask lower-priority executions to surrender their grants at the next
-  /// step boundary, per substrate: spectrum waiters preempt optical
-  /// victims, host waiters (kElectricalOnly arrivals, suspended electrical
-  /// executions) preempt electrical victims.  Suspending across fabrics
-  /// would free nothing the waiter can use.
+  /// step boundary, per substrate: the runtime picks each substrate's most
+  /// urgent waiter (a contending queued job or a suspended execution of
+  /// that substrate — suspending across fabrics would free nothing the
+  /// waiter can use), and the substrate ranks the victims.
   void request_preemptions();
-  void request_optical_preemptions();
-  void request_electrical_preemptions();
-  /// Highest priority among suspended executions of `kind`'s substrate —
-  /// the waiters contending for that fabric's capacity.  Aged: a suspended
-  /// execution's priority rises with its wait under aging_half_life.
-  [[nodiscard]] std::int32_t top_suspended_priority(SubstrateKind kind) const;
+  /// A queued entry's priority, aged by its wait.
+  [[nodiscard]] std::int32_t aged(const QueueEntry& entry) const;
+  /// The queued entry admission would serve first among those contending
+  /// for `substrate` (highest aged priority, oldest among equals).
+  [[nodiscard]] std::optional<std::size_t> contender_head(
+      const ExecutionSubstrate& substrate) const;
+  [[nodiscard]] std::int32_t top_contender_priority(
+      const ExecutionSubstrate& substrate) const;
+  /// Highest effective priority among suspended executions of `substrate`
+  /// — the waiters contending for that fabric's capacity (nullopt: none).
+  [[nodiscard]] std::optional<std::int32_t> top_suspended(
+      const ExecutionSubstrate& substrate) const;
   /// `exec`'s effective priority right now: raw while running, aged by the
   /// suspension wait while suspended.
   [[nodiscard]] std::int32_t effective_priority(const Execution& exec) const;
-  /// Refresh the optical substrate's advisory pending-demand snapshot
-  /// (minimum widths of queued optically-eligible jobs + suspended optical
-  /// executions, minus `excluding`) ahead of a planner placement.
-  void publish_optical_demand(const Execution* excluding);
-  [[nodiscard]] bool has_suspended(SubstrateKind kind) const;
-  /// True when `entry` could be served by the electrical fallback AND its
-  /// urgency may drive electrical preemptions / block lower-priority
-  /// electrical placements (pinned tenants only: a kAny waiter also has
-  /// the optical line working for it, and host claims it could get by
-  /// preemption are claims the optical path never needed).
-  [[nodiscard]] static bool electrically_pinned(const QueueEntry& entry);
+  /// Refresh `substrate`'s advisory pending-demand snapshot (minimum
+  /// widths of the queue head's contenders + its suspended executions,
+  /// minus `excluding`) ahead of a placement or renegotiation.
+  void publish_demand(ExecutionSubstrate& substrate,
+                      const Execution* excluding);
   /// Record + trace the cost-model verdict that just bound for `exec`.
   /// Only genuine router choices are audited: kCostModelChoice placements
   /// of un-pinned jobs (a pinned tenant decided for itself — its outcome
   /// must not color the router's accuracy figures).
-  void audit_route_decision(const Execution& exec, std::uint32_t grant,
+  void audit_route_decision(const Execution& exec,
                             std::uint32_t optical_request, SubstratePin pin);
-  void try_grow(const std::shared_ptr<Execution>& exec);
   void try_shrink(const std::shared_ptr<Execution>& exec);
+  /// Grow or shrink exec's grant in place; an accepted rebuild is adopted,
+  /// counted and traced.  Returns whether the substrate accepted.
+  bool resize(Execution& exec, const RenegotiationRequest& request);
 
   /// Fold the executed prefix of exec's current plan into exec->executed,
   /// install `next` as the new plan, update the job records, and re-prove
@@ -610,6 +616,9 @@ class CollectiveRuntime {
   sim::Simulator simulator_;
   std::unique_ptr<ExecutionSubstrate> optical_;
   std::unique_ptr<ExecutionSubstrate> electrical_;
+  /// Every configured substrate, optical first — the order the generic
+  /// cycle (preemption, fault application, audits) visits them in.
+  std::vector<ExecutionSubstrate*> substrates_;
   JobQueue queue_;
   std::vector<JobRecord> records_;
   std::vector<JobId> completion_order_;
@@ -640,20 +649,9 @@ class CollectiveRuntime {
   /// configured); the floor enforces the stream's nondecreasing contract.
   FaultSource* fault_source_ = nullptr;
   util::Seconds last_fault_at_{0.0};
-  /// Down refcounts (overlapping faults on one subject must not resurrect
-  /// it on the first repair): ring positions out of OPTICAL service, hosts
-  /// out of electrical service, degraded wavelengths.
-  std::vector<std::uint8_t> optical_node_down_;
-  std::vector<std::uint8_t> host_down_;
-  std::vector<std::uint8_t> wavelength_down_;
-  /// Which down units this runtime currently holds a substrate quarantine
-  /// for (a unit granted to a tenant at fault time is quarantined only
-  /// once its holder releases).
-  std::vector<bool> wavelength_quarantined_;
-  std::vector<bool> host_quarantined_;
-  /// Any fault ever injected — gates the fault-path scans so a fault-free
-  /// run pays nothing on the hot path.
-  bool any_fault_ever_ = false;
+  /// Sim-clock handle of the pending injection event (valid while
+  /// fault_source_ is set).
+  std::uint64_t fault_event_ = 0;
   bool started_ = false;
   Instruments ins_;
   /// Per-priority-class max-admission-wait gauges, keyed by JobSpec

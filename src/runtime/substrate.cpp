@@ -19,9 +19,8 @@ const char* renegotiation_kind_name(RenegotiationRequest::Kind kind) {
 }
 
 // Renegotiation defaults: a substrate that does not opt in through caps()
-// simply declines every request kind, the what-if probe reports the plain
-// free capacity (releasing nothing frees nothing extra), and quarantine
-// refuses because there is no per-unit capacity to take out of service.
+// simply declines every request kind, and the what-if probe reports the
+// plain free capacity (releasing nothing frees nothing extra).
 
 RenegotiationOutcome ExecutionSubstrate::renegotiate(
     SubstrateExecution*, const RenegotiationRequest&) {
@@ -32,10 +31,6 @@ std::uint32_t ExecutionSubstrate::free_grant_if_kept(const SubstrateExecution&,
                                                      std::uint32_t) const {
   return largest_free_grant();
 }
-
-bool ExecutionSubstrate::quarantine_unit(std::uint32_t) { return false; }
-
-void ExecutionSubstrate::restore_unit(std::uint32_t) {}
 
 util::Seconds ExecutionSubstrate::predict_completion(
     const std::vector<topo::NodeId>& participants, util::Bytes payload,

@@ -1,9 +1,26 @@
 // Pluggable execution substrates for the multi-tenant runtime.
 //
-// The runtime's serving loop (admission, fairness, batching, the shared
-// clock, oracle validation) is substrate-agnostic: what it needs from a
-// fabric is "claim resources for this participant set, give me a schedule,
-// time its steps on my clock, release".  ExecutionSubstrate is that seam.
+// The runtime holds the serving POLICY: admission, fairness, priorities and
+// aging, batching, the shared clock, oracle validation, and the ledgers.
+// Each substrate holds the MECHANISM of one fabric: claiming resources for
+// a participant set, building and timing its schedule, renegotiating it at
+// step boundaries, and everything the fabric knows about its own health.
+// ExecutionSubstrate is that seam, and the runtime drives every substrate
+// through the same admit -> preempt -> reconcile cycle:
+//
+//  * capacity: which queue entries contend for this fabric (contends), which
+//    pins it accepts, and — for a waiter that cannot fit — which running
+//    executions to ask to surrender at their next step boundary
+//    (preemption_victims).  The runtime picks the waiter and says who it
+//    outranks; the substrate knows what a surrender frees.
+//  * fault health: down refcounts and quarantined units, updated from each
+//    FaultSpec and its repair (fail / repair).  A freed unit that is down is
+//    quarantined as soon as it is released, so dead capacity is never
+//    re-granted.  disrupts() says which running plans a fault touches;
+//    remedy() says what the next step boundary needs (nothing, evict,
+//    shrink to the healthy prefix, restart, migrate, or suspend), and
+//    down_among() which participants the fabric has lost.
+//
 // Two implementations exist:
 //
 //  * the OPTICAL substrate — the paper's WDM ring.  Grants are contiguous
@@ -12,7 +29,8 @@
 //    timing claims (span, wavelength, direction) cells on the shared
 //    SpectrumMap and pays the paper's per-step optical overheads.  Supports
 //    step-boundary renegotiation (preemption and elastic resize) via
-//    core::rebuild_wrht_remainder.
+//    core::rebuild_wrht_remainder.  Transceiver and node faults take ring
+//    positions out of service; wavelength faults degrade spectrum.
 //
 //  * the ELECTRICAL substrate — the alpha-beta/flow baseline fabric from
 //    src/elec.  Grants are exclusive claims on the participants' host
@@ -23,7 +41,9 @@
 //    picked by the alpha-beta cost model); per-step timing is the BSP step
 //    makespan under max-min fair sharing, exactly elec::run_on_electrical's
 //    model, produced incrementally so electrical steps interleave with
-//    optical tenants on one clock.
+//    optical tenants on one clock.  Node and ToR faults take hosts down;
+//    hosts are fungible, so no participant is ever lost, and a ToR loss asks
+//    for migration to another fabric.
 //
 // A substrate declares what it can renegotiate through SubstrateCaps; the
 // runtime only exercises preemption/resize against substrates that opt in.
@@ -37,6 +57,8 @@
 #include "elec/topology.hpp"
 #include "optical/assign.hpp"
 #include "optical/params.hpp"
+#include "runtime/admission.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/job.hpp"
 #include "runtime/planner.hpp"
 #include "sim/simulator.hpp"
@@ -97,8 +119,7 @@ class SubstrateExecution {
   /// Physical hosts backing this plan, in participant-rank order (hosts[i]
   /// carries participants[i]'s data).  Empty for substrates whose grants
   /// are not host-denominated (optical bands).  After a remapped resume
-  /// this differs from the participant list — the runtime's preemption
-  /// planner reads it to know which host claims a victim would surrender.
+  /// this differs from the participant list.
   [[nodiscard]] virtual std::vector<topo::NodeId> hosts() const { return {}; }
 };
 
@@ -204,6 +225,57 @@ struct RenegotiationRequest {
 [[nodiscard]] const char* renegotiation_kind_name(
     RenegotiationRequest::Kind kind);
 
+/// A running execution offered to a substrate as a preemption victim.  The
+/// runtime fills in the policy (priority, who the waiter outranks); the
+/// substrate decides what surrendering would free.
+struct PreemptionCandidate {
+  const SubstrateExecution* plan = nullptr;
+  /// Raw urgency of the execution (the max over its fused jobs).
+  std::int32_t priority = 0;
+  /// Oldest job it carries, the final tie-break.
+  JobId lead = kNoJob;
+  /// Already asked to surrender its grant at the next step boundary.
+  bool surrendering = false;
+  /// Strictly below the waiter's priority, so it may be asked to surrender.
+  bool outranked = false;
+};
+
+/// The most urgent waiter for a substrate's capacity: a queued job or a
+/// suspended execution awaiting resume.
+struct PreemptionWaiter {
+  bool queued = true;
+  /// The waiter's participants (a queued job needs exactly these; a
+  /// suspended execution resumes wherever its substrate lets it).
+  const std::vector<topo::NodeId>* participants = nullptr;
+  /// The waiter's minimum grant in this substrate's units.
+  std::uint32_t min_grant = 1;
+};
+
+/// What the next step boundary must do for an execution a fault touched.
+struct FaultRemedy {
+  enum class Kind : std::uint8_t {
+    /// Nothing: the repair beat the boundary (a stale disruption).
+    kNone,
+    /// Drop `dead` from the delivery set on the same grant (kEvict); the
+    /// runtime restarts among the survivors when the rebuild refuses.
+    kEvict,
+    /// Keep the healthy prefix of the grant: `keep` units (kShrink).
+    kShrink,
+    /// Discard the executed prefix and restart among the survivors.
+    kRestart,
+    /// The fabric lost the whole execution but not its data: restart it on
+    /// another substrate, or suspend when none takes it.
+    kMigrate,
+    /// Surrender the grant and wait for repair or free capacity.
+    kSuspend,
+  };
+  Kind kind = Kind::kNone;
+  /// kEvict / kRestart: recipients the fabric lost.
+  std::vector<topo::NodeId> dead;
+  /// kShrink: healthy width to keep.
+  std::uint32_t keep = 0;
+};
+
 /// Result of a renegotiation: the replacement plan (owning its grant), or
 /// nothing — a refusal leaves `current` untouched.  On acceptance the old
 /// plan's grant has been consumed in place (kGrow / kShrink / kEvict) or
@@ -280,7 +352,8 @@ class ExecutionSubstrate {
   /// to place.  Placement-planning substrates (the optical planner policy)
   /// score candidate placements jointly against this demand; the default
   /// ignores it.  The runtime refreshes it immediately before each place()
-  /// or renegotiate() call, so a substrate may treat it as current.
+  /// and each kResume / kRestart renegotiation (the calls that allocate a
+  /// fresh grant), so a substrate may treat it as current there.
   virtual void note_pending_demand(const std::vector<std::uint32_t>& min_grants) {
     (void)min_grants;
   }
@@ -330,15 +403,45 @@ class ExecutionSubstrate {
   [[nodiscard]] virtual std::uint32_t free_grant_if_kept(
       const SubstrateExecution& exec, std::uint32_t keep) const;
 
-  /// Take one grant unit (a wavelength index for optical substrates, a host
-  /// id for electrical ones) out of service — the fault injector's
-  /// quarantine hook.  Succeeds only when the unit is currently free: a
-  /// granted unit must first be renegotiated away from its holder.  The
-  /// default has no per-unit capacity and refuses.
-  [[nodiscard]] virtual bool quarantine_unit(std::uint32_t unit);
-  /// Return a quarantined unit to service (repair).  No-op when `unit` is
-  /// not quarantined.
-  virtual void restore_unit(std::uint32_t unit);
+  // --- Capacity and preemption --------------------------------------------
+
+  /// Whether a queued entry's urgency counts against this substrate's
+  /// capacity: the entries a suspended execution here must not be resumed
+  /// ahead of, and the ones that justify preempting this substrate's
+  /// tenants.
+  [[nodiscard]] virtual bool contends(const QueueEntry& entry) const = 0;
+  /// Whether a job pinned `pin` may run here at all.
+  [[nodiscard]] virtual bool accepts(SubstratePin pin) const = 0;
+  /// Indices into `running` (this substrate's executions, in run order) to
+  /// ask to surrender their grants so `waiter` can be served.  Empty when
+  /// nothing needs to surrender or surrendering cannot help.
+  [[nodiscard]] virtual std::vector<std::size_t> preemption_victims(
+      const PreemptionWaiter& waiter,
+      const std::vector<PreemptionCandidate>& running) const = 0;
+
+  // --- Fault health ---------------------------------------------------------
+
+  /// A fault landed / was repaired: update the down refcounts (overlapping
+  /// faults on one subject must not resurrect it on the first repair),
+  /// quarantine freed dead units, return repaired ones to service.  Faults
+  /// in domains this fabric does not have are ignored.
+  virtual void fail(const FaultSpec& fault) = 0;
+  virtual void repair(const FaultSpec& fault) = 0;
+  /// The members of `nodes` whose data this fabric has lost (out-of-service
+  /// ring positions; empty on a fabric whose hosts checkpoint at step
+  /// boundaries).
+  [[nodiscard]] virtual std::vector<topo::NodeId> down_among(
+      const std::vector<topo::NodeId>& nodes) const = 0;
+  /// Whether `fault`, just applied, disrupts `plan` serving `recipients`.
+  [[nodiscard]] virtual bool disrupts(
+      SubstrateExecution& plan, const std::vector<topo::NodeId>& recipients,
+      const FaultSpec& fault) = 0;
+  /// What `plan`'s next step boundary must do against the CURRENT down sets
+  /// (`min_grant` is the floor a shrink may not cross).  Consumes the marks
+  /// disrupts() left on the plan.
+  [[nodiscard]] virtual FaultRemedy remedy(
+      SubstrateExecution& plan, const std::vector<topo::NodeId>& recipients,
+      std::uint32_t min_grant) = 0;
 };
 
 /// The WDM-ring substrate (spectrum arbiter + Wrht builds + shared-map
@@ -348,11 +451,11 @@ class ExecutionSubstrate {
 /// restores the original per-transfer/linear-scan behaviour (identical
 /// schedules and reports either way — it exists as a benchmark baseline).
 /// `spectrum_policy` picks who places bands: the SpectrumPlanner (default)
-/// or the historical greedy first-fit (ablation baseline).
+/// or the historical greedy first-fit (ablation baseline).  Wavelengths are
+/// colored first-fit.
 [[nodiscard]] std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
-    optical::FitPolicy fit_policy, sim::Simulator& sim,
-    bool flat_hot_path = true,
+    sim::Simulator& sim, bool flat_hot_path = true,
     SpectrumPolicy spectrum_policy = SpectrumPolicy::kPlanner);
 
 /// Which electrical fabric backs the fallback substrate.

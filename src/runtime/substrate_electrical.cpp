@@ -43,11 +43,13 @@
 // re-places the remainder on whatever host set is free then — the original
 // positions when available, else any free hosts, carried over by the same
 // schedule remap placement uses.  Host fungibility is also the fault story:
-// a dead host gets quarantined (quarantine_unit) and the resume simply
+// the substrate keeps its own host-down refcounts (node and ToR faults), a
+// dead host is quarantined the moment it is free, and the resume simply
 // remaps around it, so electrical node faults cost a suspension, never
-// data.  The shared fabric's whole-horizon replay oracle covers remapped
-// resumes for free: it replays the logged physical routes, which are
-// exactly what the remapped remainder injected.
+// data.  A ToR loss additionally asks the runtime to migrate the execution
+// to another fabric.  The shared fabric's whole-horizon replay oracle
+// covers remapped resumes for free: it replays the logged physical routes,
+// which are exactly what the remapped remainder injected.
 //
 // Per-step timing is produced one step at a time so electrical steps
 // interleave with optical tenants' events on the shared clock.
@@ -141,6 +143,8 @@ class ElectricalExecution final : public SubstrateExecution {
   /// kTwoLevelShared: the execution's session on the shared fabric timer.
   elec::SharedFabricTimer::SessionId session = 0;
   bool has_session = false;
+  /// A ToR fault orphaned this execution since its last step boundary.
+  bool orphaned = false;
 };
 
 elec::ElectricalCluster make_fallback_cluster(
@@ -167,7 +171,9 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       : cluster_(make_fallback_cluster(num_hosts, config)),
         timer_(cluster_),
         config_(config),
-        host_busy_(num_hosts, false) {
+        host_busy_(num_hosts, false),
+        host_down_(num_hosts, 0),
+        quarantined_(num_hosts, false) {
     if (config_.fabric == ElectricalFabric::kTwoLevelShared) {
       shared_.emplace(cluster_, config_.replay_audit);
     }
@@ -288,6 +294,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     for (const topo::NodeId host : exec.hosts_) host_busy_[host] = false;
     exec.holds_hosts = false;
     --active_;
+    quarantine_freed();
   }
 
   [[nodiscard]] RenegotiationOutcome renegotiate(
@@ -311,22 +318,145 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return {};
   }
 
-  [[nodiscard]] bool quarantine_unit(std::uint32_t unit) override {
-    // A busy host cannot be pulled out from under its tenant — the runtime
-    // must first renegotiate the holder away (fault-suspend), release its
-    // claims, and retry.
-    if (unit >= host_busy_.size() || host_busy_[unit]) return false;
-    host_busy_[unit] = true;
-    quarantined_hosts_.push_back(unit);
+  [[nodiscard]] bool contends(const QueueEntry& entry) const override {
+    // Only pinned tenants: a kAny waiter also has the optical line working
+    // for it, and host claims it could get by preemption are claims the
+    // optical path never needed.
+    return !entry.held && entry.pin == SubstratePin::kElectricalOnly;
+  }
+  [[nodiscard]] bool accepts(SubstratePin pin) const override {
+    return pin != SubstratePin::kOpticalOnly;
+  }
+
+  [[nodiscard]] std::vector<std::size_t> preemption_victims(
+      const PreemptionWaiter& waiter,
+      const std::vector<PreemptionCandidate>& running) const override {
+    const auto hosts = [&running](std::size_t i) -> const auto& {
+      return static_cast<const ElectricalExecution*>(running[i].plan)->hosts_;
+    };
+    // Cheapest first: lowest priority, then by surrendered host count
+    // (`fewer` picks the direction), then oldest lead job for determinism.
+    const auto cheaper = [&](std::size_t a, std::size_t b, bool fewer) {
+      if (running[a].priority != running[b].priority) {
+        return running[a].priority < running[b].priority;
+      }
+      if (hosts(a).size() != hosts(b).size()) {
+        return fewer == (hosts(a).size() < hosts(b).size());
+      }
+      return running[a].lead < running[b].lead;
+    };
+    if (waiter.queued) {
+      // A queued waiter needs ITS OWN ring positions' hosts.
+      if (can_place(*waiter.participants, 1)) return {};
+      // Every holder of a busy host must be outranked by the waiter, or
+      // preemption cannot help at all.  Holders already surrendering mean
+      // the request is in flight: marking unrelated tenants would only
+      // cascade collateral suspensions that free nothing the waiter can use.
+      std::vector<std::size_t> blockers;
+      bool any_busy_holder = false;
+      for (const topo::NodeId host : *waiter.participants) {
+        for (std::size_t i = 0; i < running.size(); ++i) {
+          if (std::find(hosts(i).begin(), hosts(i).end(), host) ==
+              hosts(i).end()) {
+            continue;
+          }
+          any_busy_holder = true;
+          if (!running[i].outranked) return {};  // hopeless
+          if (!running[i].surrendering &&
+              std::find(blockers.begin(), blockers.end(), i) ==
+                  blockers.end()) {
+            blockers.push_back(i);
+          }
+          break;  // hosts are exclusive; one holder per host
+        }
+      }
+      if (any_busy_holder) return blockers;
+      // No busy host blocks the waiter, yet it does not fit: the
+      // concurrency cap is the bottleneck, and one victim frees a slot.
+      std::optional<std::size_t> cheapest;
+      for (std::size_t i = 0; i < running.size(); ++i) {
+        if (running[i].surrendering || !running[i].outranked) continue;
+        if (!cheapest || cheaper(i, *cheapest, /*fewer=*/true)) cheapest = i;
+      }
+      if (!cheapest) return {};
+      return {*cheapest};
+    }
+    // A suspended waiter resumes on any free host set of its size
+    // (remaps_on_resume), so free hosts anywhere count: accumulate
+    // surrendered host sets, largest first so one victim usually suffices.
+    const std::size_t need = waiter.participants->size();
+    std::size_t pending = free_grant_total();
+    std::vector<std::size_t> victims;
+    for (std::size_t i = 0; i < running.size(); ++i) {
+      if (running[i].surrendering) {
+        pending += hosts(i).size();
+      } else if (running[i].outranked) {
+        victims.push_back(i);
+      }
+    }
+    if (pending >= need) return {};
+    std::sort(victims.begin(), victims.end(),
+              [&](std::size_t a, std::size_t b) {
+                return cheaper(a, b, /*fewer=*/false);
+              });
+    std::size_t taken = 0;
+    while (taken < victims.size() && pending < need) {
+      pending += hosts(victims[taken++]).size();
+    }
+    victims.resize(taken);
+    return victims;
+  }
+
+  void fail(const FaultSpec& fault) override {
+    for_each_host(fault, [this](topo::NodeId host) {
+      if (host_down_[host]++ == 0) ++hosts_down_;
+    });
+    quarantine_freed();
+  }
+
+  void repair(const FaultSpec& fault) override {
+    for_each_host(fault, [this](topo::NodeId host) {
+      WRHT_CHECK(host_down_[host] > 0,
+                 "ElectricalSubstrate: repair without a fault");
+      if (--host_down_[host] != 0) return;
+      --hosts_down_;
+      if (quarantined_[host]) {
+        quarantined_[host] = false;
+        host_busy_[host] = false;
+      }
+    });
+  }
+
+  [[nodiscard]] std::vector<topo::NodeId> down_among(
+      const std::vector<topo::NodeId>&) const override {
+    return {};  // hosts checkpoint at BSP boundaries: a remap, never data
+  }
+
+  [[nodiscard]] bool disrupts(SubstrateExecution& plan,
+                              const std::vector<topo::NodeId>&,
+                              const FaultSpec& fault) override {
+    if (fault.domain != FaultDomain::kNode &&
+        fault.domain != FaultDomain::kTor) {
+      return false;
+    }
+    auto& exec = static_cast<ElectricalExecution&>(plan);
+    if (!any_host_down(exec)) return false;
+    exec.orphaned = exec.orphaned || fault.domain == FaultDomain::kTor;
     return true;
   }
 
-  void restore_unit(std::uint32_t unit) override {
-    const auto it = std::find(quarantined_hosts_.begin(),
-                              quarantined_hosts_.end(), unit);
-    if (it == quarantined_hosts_.end()) return;
-    quarantined_hosts_.erase(it);
-    host_busy_[unit] = false;
+  [[nodiscard]] FaultRemedy remedy(SubstrateExecution& plan,
+                                   const std::vector<topo::NodeId>&,
+                                   std::uint32_t) override {
+    auto& exec = static_cast<ElectricalExecution&>(plan);
+    const bool orphaned = std::exchange(exec.orphaned, false);
+    FaultRemedy out;
+    if (!any_host_down(exec)) return out;  // the repair beat the boundary
+    // A ToR loss took a whole host group down while the other fabric may be
+    // untouched: migrate.  A node fault costs a remap at resume: suspend.
+    out.kind = orphaned ? FaultRemedy::Kind::kMigrate
+                        : FaultRemedy::Kind::kSuspend;
+    return out;
   }
 
   [[nodiscard]] std::vector<StepRetiming> take_retimings() override {
@@ -501,6 +631,41 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return hosts;
   }
 
+  /// The hosts a node or ToR fault takes down (none for other domains).
+  template <class Visit>
+  void for_each_host(const FaultSpec& fault, Visit visit) const {
+    if (fault.domain == FaultDomain::kNode) {
+      WRHT_REQUIRE(fault.subject < host_busy_.size(),
+                   "ElectricalSubstrate: node subject " << fault.subject
+                                                        << " off the fabric");
+      visit(fault.subject);
+    } else if (fault.domain == FaultDomain::kTor) {
+      const std::uint32_t hpt = std::max(1u, config_.hosts_per_tor);
+      for (std::uint32_t h = fault.subject * hpt;
+           h < (fault.subject + 1) * hpt && h < host_busy_.size(); ++h) {
+        visit(h);
+      }
+    }
+  }
+
+  [[nodiscard]] bool any_host_down(const ElectricalExecution& exec) const {
+    return hosts_down_ != 0 &&
+           std::any_of(exec.hosts_.begin(), exec.hosts_.end(),
+                       [this](topo::NodeId h) { return host_down_[h] != 0; });
+  }
+
+  /// Take every down host that is free right now out of service (a host
+  /// held by a tenant at fault time is quarantined when its holder
+  /// releases).
+  void quarantine_freed() {
+    if (hosts_down_ == 0) return;
+    for (std::size_t h = 0; h < host_busy_.size(); ++h) {
+      if (host_down_[h] == 0 || quarantined_[h] || host_busy_[h]) continue;
+      host_busy_[h] = true;
+      quarantined_[h] = true;
+    }
+  }
+
   /// Claim `hosts` (which must be free) and build the plan that runs
   /// `compact` for `participants` on them.  Shared placement tail of both
   /// place() and renegotiate().
@@ -537,8 +702,12 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       session_plans_;
   std::vector<StepRetiming> pending_retimings_;
   std::vector<bool> host_busy_;
-  /// Hosts held down by quarantine_unit (fault injection), not by a tenant.
-  std::vector<topo::NodeId> quarantined_hosts_;
+  /// Fault health: down refcounts per host, the number of hosts currently
+  /// down (the fault-free fast path), and which hosts are held busy by
+  /// quarantine rather than by a tenant.
+  std::vector<std::uint8_t> host_down_;
+  std::uint32_t hosts_down_ = 0;
+  std::vector<bool> quarantined_;
   std::uint32_t active_ = 0;
   mutable std::map<std::pair<std::uint32_t, std::uint64_t>, util::Seconds>
       prediction_cache_;

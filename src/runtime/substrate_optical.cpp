@@ -8,13 +8,15 @@
 // typed renegotiate() entry point covering resume, grow, shrink, fault
 // eviction, and restart — rebuilds the not-yet-run remainder through
 // core::rebuild_wrht_remainder_evicting and transacts the band on the
-// arbiter, with rollback when a rebuild does not pay off.  Degraded
-// wavelengths are quarantined as width-1 arbiter allocations, so neither the
-// planner nor first-fit can grant them until repair.
+// arbiter, with rollback when a rebuild does not pay off.  The substrate
+// owns its fault health: transceiver and node faults take ring positions
+// out of service (survivor rebuilds route around them), and degraded
+// wavelengths are quarantined as width-1 arbiter allocations the moment
+// they are free, so neither the planner nor first-fit can grant them until
+// repair.
 #include "runtime/substrate.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -48,7 +50,6 @@ class OpticalExecution final : public SubstrateExecution {
   /// False once the band went back to the arbiter (suspension) or moved to
   /// a successor plan (resize) — the double-release guard.
   bool holds_band = false;
-  std::vector<topo::NodeId> participants;
   util::Bytes payload;
   std::vector<std::vector<optical::TimedTransfer>> timed_steps;
   /// When this band is expected back: refreshed after every timed step by
@@ -65,18 +66,19 @@ class OpticalExecution final : public SubstrateExecution {
 class OpticalSubstrate final : public ExecutionSubstrate {
  public:
   OpticalSubstrate(const topo::RingTopology& ring,
-                   const optical::OpticalParams& params,
-                   optical::FitPolicy fit_policy, sim::Simulator& sim,
+                   const optical::OpticalParams& params, sim::Simulator& sim,
                    bool flat_hot_path, SpectrumPolicy spectrum_policy)
       : ring_(ring),
         params_(params),
-        fit_policy_(fit_policy),
         sim_(sim),
         flat_(flat_hot_path),
         policy_(spectrum_policy),
         spectrum_(ring, params.wdm.num_wavelengths),
         transceivers_(ring.num_nodes()),
-        arbiter_(params.wdm.num_wavelengths, flat_hot_path) {}
+        arbiter_(params.wdm.num_wavelengths, flat_hot_path),
+        node_down_(ring.num_nodes(), 0),
+        wavelength_down_(params.wdm.num_wavelengths, 0),
+        quarantined_(params.wdm.num_wavelengths, false) {}
 
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kOptical;
@@ -121,16 +123,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     // arbiter/admission disagreement.
     WRHT_CHECK(band.has_value(),
                "OpticalSubstrate: arbiter refused a " << grant << "-band");
-    core::WrhtParams wrht;
-    wrht.num_wavelengths = band->width;
-    wrht.fit_policy = fit_policy_;
-    core::WrhtBuild build =
-        core::build_wrht_among(participants, ring_.num_nodes(), wrht);
-    WRHT_CHECK(build.annotated.wavelengths_required <= band->width,
-               "OpticalSubstrate: schedule overflowed its band ("
-                   << build.annotated.wavelengths_required << " > "
-                   << band->width << ")");
-    return make_plan(std::move(build), *band, participants, payload);
+    return make_plan(build_among(participants, band->width), *band,
+                     payload);
   }
 
   [[nodiscard]] StepTiming time_step(SubstrateExecution& e, std::size_t step,
@@ -208,6 +202,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     arbiter_.release(exec.band_);
     exec.holds_band = false;
     forget(exec);
+    quarantine_freed();
     // exec.band_ keeps its value: the pre-suspension width is the resume
     // path's sizing hint.
   }
@@ -217,7 +212,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
       std::uint32_t grant) const override {
     core::WrhtParams wrht;
     wrht.num_wavelengths = std::max(grant, 1u);
-    wrht.fit_policy = fit_policy_;
     return core::wrht_time_formula(
         static_cast<std::uint32_t>(participants.size()), payload, params_,
         wrht);
@@ -286,22 +280,135 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     return arbiter_.largest_free_block_assuming(freed);
   }
 
-  [[nodiscard]] bool quarantine_unit(std::uint32_t unit) override {
-    if (quarantined_.count(unit) != 0) return false;
-    // A width-1 allocation at the degraded wavelength: the arbiter refuses
-    // while any granted band covers it, and neither the planner nor
-    // first-fit can hand it out until restore_unit releases it.
-    const std::optional<WavelengthBand> band = arbiter_.allocate_at(unit, 1);
-    if (!band) return false;
-    quarantined_.emplace(unit, *band);
-    return true;
+  [[nodiscard]] bool contends(const QueueEntry& entry) const override {
+    return optically_eligible(entry);
+  }
+  [[nodiscard]] bool accepts(SubstratePin pin) const override {
+    return pin != SubstratePin::kElectricalOnly;
   }
 
-  void restore_unit(std::uint32_t unit) override {
-    const auto it = quarantined_.find(unit);
-    if (it == quarantined_.end()) return;
-    arbiter_.release(it->second);
-    quarantined_.erase(it);
+  [[nodiscard]] std::vector<std::size_t> preemption_victims(
+      const PreemptionWaiter& waiter,
+      const std::vector<PreemptionCandidate>& running) const override {
+    // Spectrum usable today plus bands already being surrendered at the
+    // next boundary.  Admission needs a CONTIGUOUS run, so the baseline is
+    // the largest free block, not the free total — a fragmented pool that
+    // sums to the minimum admits nothing.  Adding victim widths is still
+    // approximate (their bands may not abut the free runs); both error
+    // directions self-correct: under-preemption retries on the next
+    // admission pass, and a victim whose suspension became unnecessary is
+    // reprieved by the runtime's boundary re-check.
+    std::uint32_t pending = arbiter_.largest_free_block();
+    std::vector<std::size_t> victims;
+    for (std::size_t i = 0; i < running.size(); ++i) {
+      if (running[i].surrendering) {
+        pending += running[i].plan->grant();
+      } else if (running[i].outranked) {
+        victims.push_back(i);
+      }
+    }
+    if (pending >= waiter.min_grant) return {};
+    // Cheapest first: lowest priority, then widest band so one victim
+    // usually suffices, then oldest lead job for determinism.
+    std::sort(victims.begin(), victims.end(),
+              [&running](std::size_t a, std::size_t b) {
+                const PreemptionCandidate& x = running[a];
+                const PreemptionCandidate& y = running[b];
+                if (x.priority != y.priority) return x.priority < y.priority;
+                if (x.plan->grant() != y.plan->grant()) {
+                  return x.plan->grant() > y.plan->grant();
+                }
+                return x.lead < y.lead;
+              });
+    std::size_t taken = 0;
+    while (taken < victims.size() && pending < waiter.min_grant) {
+      pending += running[victims[taken++]].plan->grant();
+    }
+    victims.resize(taken);
+    return victims;
+  }
+
+  void fail(const FaultSpec& fault) override {
+    if (fault.domain == FaultDomain::kTransceiver ||
+        fault.domain == FaultDomain::kNode) {
+      WRHT_REQUIRE(fault.subject < node_down_.size(),
+                   "OpticalSubstrate: fault subject " << fault.subject
+                                                      << " off the ring");
+      if (node_down_[fault.subject]++ == 0) ++nodes_down_;
+    } else if (fault.domain == FaultDomain::kWavelength) {
+      WRHT_REQUIRE(fault.subject < wavelength_down_.size(),
+                   "OpticalSubstrate: wavelength subject "
+                       << fault.subject << " off the spectrum");
+      if (wavelength_down_[fault.subject]++ == 0) ++wavelengths_down_;
+      quarantine_freed();
+    }
+  }
+
+  void repair(const FaultSpec& fault) override {
+    const auto lower = [](std::uint8_t& count, std::uint32_t& distinct) {
+      WRHT_CHECK(count > 0, "OpticalSubstrate: repair without a fault");
+      if (--count == 0) --distinct;
+    };
+    if (fault.domain == FaultDomain::kTransceiver ||
+        fault.domain == FaultDomain::kNode) {
+      lower(node_down_[fault.subject], nodes_down_);
+    } else if (fault.domain == FaultDomain::kWavelength) {
+      lower(wavelength_down_[fault.subject], wavelengths_down_);
+      if (wavelength_down_[fault.subject] == 0 &&
+          quarantined_[fault.subject]) {
+        arbiter_.release(WavelengthBand{fault.subject, 1});
+        quarantined_[fault.subject] = false;
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<topo::NodeId> down_among(
+      const std::vector<topo::NodeId>& nodes) const override {
+    std::vector<topo::NodeId> down;
+    if (nodes_down_ == 0) return down;
+    for (const topo::NodeId node : nodes) {
+      if (node_down_[node] != 0) down.push_back(node);
+    }
+    return down;
+  }
+
+  [[nodiscard]] bool disrupts(SubstrateExecution& plan,
+                              const std::vector<topo::NodeId>& recipients,
+                              const FaultSpec& fault) override {
+    if (fault.domain == FaultDomain::kWavelength) {
+      const WavelengthBand band = plan.band();
+      return fault.subject >= band.base &&
+             fault.subject < band.base + band.width;
+    }
+    return (fault.domain == FaultDomain::kTransceiver ||
+            fault.domain == FaultDomain::kNode) &&
+           std::find(recipients.begin(), recipients.end(), fault.subject) !=
+               recipients.end();
+  }
+
+  [[nodiscard]] FaultRemedy remedy(SubstrateExecution& plan,
+                                   const std::vector<topo::NodeId>& recipients,
+                                   std::uint32_t min_grant) override {
+    FaultRemedy out;
+    out.dead = down_among(recipients);
+    const WavelengthBand band = plan.band();
+    std::uint32_t healthy = 0;  // band-relative index of the first degraded
+    while (healthy < band.width &&
+           wavelength_down_[band.base + healthy] == 0) {
+      ++healthy;
+    }
+    if (!out.dead.empty()) {
+      // Survivors rebuild in place on a healthy band; a degraded band
+      // cannot carry the remainder, so they restart on fresh spectrum.
+      out.kind = healthy == band.width ? FaultRemedy::Kind::kEvict
+                                       : FaultRemedy::Kind::kRestart;
+    } else if (healthy < band.width) {
+      // Pure degradation: keep the healthy prefix when the floor allows.
+      out.kind = healthy >= min_grant ? FaultRemedy::Kind::kShrink
+                                      : FaultRemedy::Kind::kSuspend;
+      out.keep = healthy;
+    }
+    return out;
   }
 
  private:
@@ -323,9 +430,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     const std::optional<WavelengthBand> band = acquire_band(grant);
     WRHT_CHECK(band.has_value(), "OpticalSubstrate: arbiter refused a "
                                      << grant << "-band on resume");
-    return {make_plan(std::move(*rebuilt), *band,
-                      without(current.participants, request.nodes),
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), *band, current.payload)};
   }
 
   [[nodiscard]] RenegotiationOutcome grow(OpticalExecution& current,
@@ -345,8 +450,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     }
     current.holds_band = false;  // the grown band moves to the new plan
     forget(current);
-    return {make_plan(std::move(*rebuilt), grown, current.participants,
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), grown, current.payload)};
   }
 
   [[nodiscard]] RenegotiationOutcome shrink(
@@ -359,8 +463,8 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     arbiter_.shrink_to(old, kept);
     current.holds_band = false;  // the kept band moves to the new plan
     forget(current);
-    return {make_plan(std::move(*rebuilt), kept, current.participants,
-                      current.payload)};
+    quarantine_freed();
+    return {make_plan(std::move(*rebuilt), kept, current.payload)};
   }
 
   /// Survivor rebuild on the SAME band: the remainder is rebuilt with the
@@ -375,9 +479,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     const WavelengthBand band = current.band_;
     current.holds_band = false;  // the band moves unchanged to the new plan
     forget(current);
-    return {make_plan(std::move(*rebuilt), band,
-                      without(current.participants, request.nodes),
-                      current.payload)};
+    return {make_plan(std::move(*rebuilt), band, current.payload)};
   }
 
   /// Brand-new plan among request.nodes on a fresh band — the from-scratch
@@ -389,30 +491,34 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     const std::uint32_t grant = std::min(std::max(request.width, 1u), budget);
     const std::optional<WavelengthBand> band = acquire_band(grant);
     if (!band) return {};
-    core::WrhtParams wrht;
-    wrht.num_wavelengths = band->width;
-    wrht.fit_policy = fit_policy_;
-    core::WrhtBuild build =
-        core::build_wrht_among(request.nodes, ring_.num_nodes(), wrht);
-    WRHT_CHECK(build.annotated.wavelengths_required <= band->width,
-               "OpticalSubstrate: restart schedule overflowed its band ("
-                   << build.annotated.wavelengths_required << " > "
-                   << band->width << ")");
-    return {make_plan(std::move(build), *band, request.nodes,
+    return {make_plan(build_among(request.nodes, band->width), *band,
                       request.payload)};
   }
 
-  [[nodiscard]] static std::vector<topo::NodeId> without(
-      const std::vector<topo::NodeId>& all,
-      const std::vector<topo::NodeId>& removed) {
-    std::vector<topo::NodeId> kept;
-    kept.reserve(all.size());
-    for (const topo::NodeId node : all) {
-      if (std::find(removed.begin(), removed.end(), node) == removed.end()) {
-        kept.push_back(node);
-      }
+  /// A fresh Wrht build among `participants` that must fit `width`.
+  [[nodiscard]] core::WrhtBuild build_among(
+      const std::vector<topo::NodeId>& participants,
+      std::uint32_t width) const {
+    core::WrhtParams wrht;
+    wrht.num_wavelengths = width;
+    core::WrhtBuild build =
+        core::build_wrht_among(participants, ring_.num_nodes(), wrht);
+    WRHT_CHECK(build.annotated.wavelengths_required <= width,
+               "OpticalSubstrate: schedule overflowed its band ("
+                   << build.annotated.wavelengths_required << " > " << width
+                   << ")");
+    return build;
+  }
+
+  /// Take every degraded wavelength that is free right now out of service
+  /// (a unit granted to a tenant at fault time is quarantined when its
+  /// holder releases or shrinks away from it).
+  void quarantine_freed() {
+    if (wavelengths_down_ == 0) return;
+    for (std::uint32_t w = 0; w < quarantined_.size(); ++w) {
+      if (wavelength_down_[w] == 0 || quarantined_[w]) continue;
+      quarantined_[w] = arbiter_.allocate_at(w, 1).has_value();
     }
-    return kept;
   }
 
   /// Snapshot of the spectrum the planner scores placements/forecasts
@@ -456,20 +562,17 @@ class OpticalSubstrate final : public ExecutionSubstrate {
       const std::vector<topo::NodeId>& evicted = {}) const {
     core::WrhtParams wrht;
     wrht.num_wavelengths = width;
-    wrht.fit_policy = fit_policy_;
-    return core::rebuild_wrht_remainder_evicting(
-        exec.build, steps_done, exec.participants, evicted, ring_.num_nodes(),
-        wrht);
+    return core::rebuild_wrht_remainder_evicting(exec.build, steps_done,
+                                                 evicted, ring_.num_nodes(),
+                                                 wrht);
   }
 
   [[nodiscard]] std::unique_ptr<SubstrateExecution> make_plan(
-      core::WrhtBuild build, const WavelengthBand& band,
-      const std::vector<topo::NodeId>& participants, util::Bytes payload) {
+      core::WrhtBuild build, const WavelengthBand& band, util::Bytes payload) {
     auto plan = std::make_unique<OpticalExecution>();
     plan->build = std::move(build);
     plan->band_ = band;
     plan->holds_band = true;
-    plan->participants = participants;
     plan->payload = payload;
     const std::size_t num_steps = plan->build.annotated.schedule.num_steps();
     plan->timed_steps.reserve(num_steps);
@@ -505,7 +608,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
 
   const topo::RingTopology& ring_;
   optical::OpticalParams params_;
-  optical::FitPolicy fit_policy_;
   sim::Simulator& sim_;
   /// Hot-path mode: interval-indexed arbiter, one spectrum-release event
   /// per step, O(1) outstanding-registry removal.  False restores the
@@ -527,20 +629,24 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   /// suspended demand, excluding the job being placed.  Read only by the
   /// planner policy's placement cost.
   std::vector<std::uint32_t> pending_widths_;
-  /// Degraded wavelengths held out of service as width-1 arbiter
-  /// allocations, keyed by wavelength index (ordered map: substrate state
-  /// feeds deterministic reports).
-  std::map<std::uint32_t, WavelengthBand> quarantined_;
+  /// Fault health: down refcounts per ring position and per wavelength,
+  /// the number of subjects currently down (the fault-free fast path), and
+  /// which degraded wavelengths are held out of service as width-1 arbiter
+  /// allocations.
+  std::vector<std::uint8_t> node_down_;
+  std::vector<std::uint8_t> wavelength_down_;
+  std::uint32_t nodes_down_ = 0;
+  std::uint32_t wavelengths_down_ = 0;
+  std::vector<bool> quarantined_;
 };
 
 }  // namespace
 
 std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,
-    optical::FitPolicy fit_policy, sim::Simulator& sim, bool flat_hot_path,
-    SpectrumPolicy spectrum_policy) {
-  return std::make_unique<OpticalSubstrate>(ring, params, fit_policy, sim,
-                                            flat_hot_path, spectrum_policy);
+    sim::Simulator& sim, bool flat_hot_path, SpectrumPolicy spectrum_policy) {
+  return std::make_unique<OpticalSubstrate>(ring, params, sim, flat_hot_path,
+                                            spectrum_policy);
 }
 
 }  // namespace wrht::runtime

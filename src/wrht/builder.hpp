@@ -42,6 +42,13 @@ struct WrhtLevel {
 
 struct WrhtBuild {
   AnnotatedSchedule annotated;
+  /// The nodes the reduce stage starts from (ascending): the participant
+  /// set for a fresh build, the surviving representatives for a remainder
+  /// whose reduce stage is still ahead, empty when a remainder is only owed
+  /// mirrors.  A rebuild before the first step reduces over exactly this
+  /// set — never over a caller-supplied list, which for a remainder would
+  /// count already-merged contributions twice.
+  std::vector<topo::NodeId> participants;
   std::vector<WrhtLevel> reduce_levels;  // tree levels, bottom-up
   /// Broadcast levels in EXECUTION order (one schedule step each, top-down).
   /// A fresh build mirrors reduce_levels in reverse; a remainder rebuilt
@@ -116,8 +123,9 @@ struct WrhtBuild {
 /// yields fewer levels and a narrower one more) followed by the mirrors of
 /// the already-executed tree levels, recolored for the new budget.
 /// Executing the first steps_done steps of `build` and then all steps of the
-/// returned build is a complete all-reduce among `participants` (the
-/// original participant set `build` was constructed for).
+/// returned build finishes whatever all-reduce `build` was finishing: the
+/// one among build.participants for a fresh build, the original job's for
+/// a remainder.
 ///
 /// Composes: the result is itself a structurally valid WrhtBuild, so a
 /// resized or resumed execution can be renegotiated again at a later
@@ -125,8 +133,7 @@ struct WrhtBuild {
 /// recolored within params.num_wavelengths (the caller must keep a band at
 /// least as wide as that level needs, or wait for one).
 [[nodiscard]] std::optional<WrhtBuild> rebuild_wrht_remainder(
-    const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants, std::uint32_t ring_size,
+    const WrhtBuild& build, std::size_t steps_done, std::uint32_t ring_size,
     const WrhtParams& params);
 
 /// Fault variant of rebuild_wrht_remainder: the nodes in `evicted` have
@@ -149,7 +156,6 @@ struct WrhtBuild {
 /// checks.  With `evicted` empty this is rebuild_wrht_remainder.
 [[nodiscard]] std::optional<WrhtBuild> rebuild_wrht_remainder_evicting(
     const WrhtBuild& build, std::size_t steps_done,
-    const std::vector<topo::NodeId>& participants,
     const std::vector<topo::NodeId>& evicted, std::uint32_t ring_size,
     const WrhtParams& params);
 

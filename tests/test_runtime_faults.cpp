@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -167,6 +168,38 @@ TEST(FaultRecovery, TransceiverLossEvictsOrRestartsAndStillCompletes) {
   EXPECT_GT(report.goodput(), 0.0);
 }
 
+TEST(FaultRecovery, EvictionAndGrowAtTheSameBoundaryStayCorrect) {
+  // A node fault and an elastic grow land on the same step boundary: the
+  // eviction installs a fresh remainder, and the grow rebuilds that
+  // remainder again before its first step.  The regrown schedule must
+  // reduce over the representatives that already hold the merged partials
+  // — re-reducing the original participants counts every contribution
+  // twice and the composite oracle aborts the run.
+  runtime::RuntimeConfig config;
+  config.ring_size = 16;
+  config.optical.wdm.num_wavelengths = 8;
+  config.batcher.enabled = false;
+  config.elastic_resize = true;
+  ScriptedFaultSource faults({
+      {FaultDomain::kNode, 0, util::microseconds(5.0), util::Seconds(0.0)},
+  });
+  config.faults = &faults;
+
+  runtime::CollectiveRuntime rt(config);
+  runtime::JobSpec spec = span_job(0, 12, util::megabytes(32));
+  spec.requested_wavelengths = 1;  // a narrow start leaves room to grow
+  const runtime::JobId id = rt.submit(spec);
+  const runtime::RuntimeReport report = rt.run();
+
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.oracle_failures, 0u);
+  EXPECT_EQ(report.faults.evictions, 1u);
+  EXPECT_EQ(report.faults.restarts, 0u);
+  EXPECT_GE(report.resizes, 1u);
+  EXPECT_EQ(rt.record(id).state, runtime::JobState::kDone);
+  EXPECT_TRUE(rt.record(id).oracle_ok);
+}
+
 TEST(FaultRecovery, QuorumLossKillsTheJobAndClosesTheLedger) {
   // Five of six participants die permanently during the first step (the
   // collective has a later boundary left, so the loss is detected): fewer
@@ -310,6 +343,59 @@ TEST(FaultRecovery, RepairsRestoreServiceAndAreCounted) {
   EXPECT_EQ(report.faults.disrupted_executions, 0u);
   EXPECT_EQ(report.goodput(), 1.0);
   EXPECT_EQ(report.faults.mttr(), util::Seconds(0.0));
+}
+
+TEST(FaultRecovery, FaultStreamStopsWithTheWorkload) {
+  // A fault horizon far past the last job must not keep the clock running:
+  // once the source is exhausted and nothing is queued, running or
+  // suspended, the runtime stops pulling faults.  The jobs see exactly what
+  // a short-horizon run gives them.
+  struct Served {
+    std::string report;
+    std::vector<runtime::JobId> order;
+    std::vector<runtime::JobRecord> records;
+  };
+  const auto serve = [](util::Seconds horizon) {
+    workload::WorkloadConfig w;
+    w.seed = 5;
+    w.num_jobs = 120;
+    w.ring_size = 16;
+    w.mean_rate = 400.0;
+    w.max_participants = 8;
+    w.fault_horizon = horizon;
+    w.transceiver_mtbf = util::Seconds(0.05);
+    w.node_mtbf = util::Seconds(0.08);
+    w.wavelength_mtbf = util::Seconds(0.06);
+    w.fault_mttr = util::Seconds(0.01);
+    w.fault_num_wavelengths = 8;
+    workload::WorkloadGenerator source(w);
+    runtime::FaultInjector injector = source.make_fault_injector();
+    runtime::RuntimeConfig config;
+    config.ring_size = 16;
+    config.optical.wdm.num_wavelengths = 8;
+    config.faults = &injector;
+    runtime::CollectiveRuntime rt(config);
+    Served out;
+    out.report = rt.serve(source).to_string();
+    out.order = rt.completion_order();
+    out.records = rt.records();
+    return out;
+  };
+  const Served bounded = serve(util::Seconds(10.0));
+  const Served endless = serve(util::Seconds(1e9));
+  EXPECT_EQ(endless.report, bounded.report);
+  EXPECT_EQ(endless.order, bounded.order);
+  ASSERT_EQ(endless.records.size(), bounded.records.size());
+  for (std::size_t i = 0; i < bounded.records.size(); ++i) {
+    const runtime::JobRecord& a = bounded.records[i];
+    const runtime::JobRecord& b = endless.records[i];
+    EXPECT_EQ(a.state, b.state) << "job " << i;
+    EXPECT_EQ(a.admitted, b.admitted) << "job " << i;
+    EXPECT_EQ(a.completed, b.completed) << "job " << i;
+    EXPECT_EQ(a.band, b.band) << "job " << i;
+    EXPECT_EQ(a.steps, b.steps) << "job " << i;
+    EXPECT_EQ(a.preemptions, b.preemptions) << "job " << i;
+  }
 }
 
 TEST(FaultTrace, RoundTripsByteStableAndReplaysThroughTheReader) {

@@ -70,7 +70,7 @@ TEST(Rebuild, EveryCutPointAndBudgetStaysCorrect) {
     for (std::size_t cut = 0; cut < total; ++cut) {
       for (const std::uint32_t w_new : {1u, 2u, 8u, 32u}) {
         const std::optional<WrhtBuild> rebuilt = rebuild_wrht_remainder(
-            build, cut, participants, ring_size, params_for(w_new));
+            build, cut, ring_size, params_for(w_new));
         if (w_new >= w_old) {
           // A budget at least as wide as the original can always recolor
           // the inherited mirrors.
@@ -103,7 +103,7 @@ TEST(Rebuild, WiderBudgetCollapsesRemainingLevels) {
   const std::size_t total = narrow.annotated.schedule.num_steps();
   const std::size_t cut = 1;
   const std::optional<WrhtBuild> wide = rebuild_wrht_remainder(
-      narrow, cut, participants, ring_size, params_for(64));
+      narrow, cut, ring_size, params_for(64));
   ASSERT_TRUE(wide);
   EXPECT_LT(wide->annotated.schedule.num_steps(), total - cut);
   EXPECT_TRUE(wide->merged_with_all_to_all);
@@ -120,10 +120,8 @@ TEST(Rebuild, NarrowBudgetBelowMirrorDemandIsRefused) {
   const WrhtBuild build =
       build_wrht_among(participants, ring_size, params_for(8));
   ASSERT_EQ(build.reduce_levels.size(), 1u);
-  EXPECT_FALSE(rebuild_wrht_remainder(build, 1, participants, ring_size,
-                                      params_for(2)));
-  EXPECT_TRUE(rebuild_wrht_remainder(build, 1, participants, ring_size,
-                                     params_for(8)));
+  EXPECT_FALSE(rebuild_wrht_remainder(build, 1, ring_size, params_for(2)));
+  EXPECT_TRUE(rebuild_wrht_remainder(build, 1, ring_size, params_for(8)));
 }
 
 TEST(Rebuild, ComposesAcrossRepeatedRenegotiations) {
@@ -136,11 +134,11 @@ TEST(Rebuild, ComposesAcrossRepeatedRenegotiations) {
       build_wrht_among(participants, ring_size, params_for(2));
   ASSERT_GE(first.annotated.schedule.num_steps(), 2u);
   const std::optional<WrhtBuild> second = rebuild_wrht_remainder(
-      first, 1, participants, ring_size, params_for(16));
+      first, 1, ring_size, params_for(16));
   ASSERT_TRUE(second);
   ASSERT_GE(second->annotated.schedule.num_steps(), 2u);
   const std::optional<WrhtBuild> third = rebuild_wrht_remainder(
-      *second, 1, participants, ring_size, params_for(8));
+      *second, 1, ring_size, params_for(8));
   ASSERT_TRUE(third);
 
   coll::Schedule composite("twice", ring_size, 1);
@@ -160,6 +158,37 @@ TEST(Rebuild, ComposesAcrossRepeatedRenegotiations) {
   const coll::OracleResult verdict =
       coll::Oracle::verify_allreduce_among(composite, participants, 24);
   EXPECT_TRUE(verdict.ok) << verdict.message;
+
+  // Cut the fresh remainder again before its first step (a grow or shrink
+  // landing on the same boundary as an eviction).  Its reduce stage starts
+  // from the representatives that already hold the merged partials, not
+  // from the original participants — re-reducing those would count every
+  // contribution twice.
+  const std::optional<WrhtBuild> recut =
+      rebuild_wrht_remainder(*second, 0, ring_size, params_for(8));
+  ASSERT_TRUE(recut);
+  const coll::OracleResult recut_verdict = coll::Oracle::verify_allreduce_among(
+      compose(first.annotated.schedule, 1, recut->annotated.schedule),
+      participants, 24);
+  EXPECT_TRUE(recut_verdict.ok) << recut_verdict.message;
+
+  // The evicting variant of the same step-0 cut: a non-representative of
+  // the first level has already merged its contribution, so it can be
+  // dropped from the delivery set of the fresh remainder.
+  const Group& group = first.reduce_levels.front().groups.front();
+  ASSERT_GE(group.size(), 2u);
+  const topo::NodeId gone = group.members[group.rep_index == 0 ? 1 : 0];
+  const std::optional<WrhtBuild> evicting = rebuild_wrht_remainder_evicting(
+      *second, 0, {gone}, ring_size, params_for(8));
+  ASSERT_TRUE(evicting);
+  std::vector<topo::NodeId> survivors;
+  for (const topo::NodeId node : participants) {
+    if (node != gone) survivors.push_back(node);
+  }
+  const coll::OracleResult evict_verdict = coll::Oracle::verify_allreduce_among(
+      compose(first.annotated.schedule, 1, evicting->annotated.schedule),
+      participants, survivors, 24);
+  EXPECT_TRUE(evict_verdict.ok) << evict_verdict.message;
 }
 
 }  // namespace
