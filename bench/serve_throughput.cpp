@@ -25,6 +25,12 @@
 //
 //   $ ./bench/serve_throughput [--jobs=100000] [--naive-jobs=0] [--seed=1]
 //
+// A third rung serves the flat workload again on the default config, the
+// functional oracle on (every execution proven before it runs).  Its
+// jobs/sec and its ratio to the oracle-off headline are reported for
+// information, with no wall-time gate; its report must be bit-identical to
+// the oracle-off one, since a proof decides nothing the schedule does.
+//
 // --naive-jobs caps the naive measurement separately (0 = same as --jobs):
 // at nightly's 10^6 jobs the naive mode's quadratic backlog costs would
 // run for hours, so it is measured at a smaller count — which UNDERSTATES
@@ -88,7 +94,7 @@ workload::WorkloadConfig make_workload_config(std::uint64_t jobs,
   return w;
 }
 
-runtime::RuntimeConfig make_runtime_config(bool flat) {
+runtime::RuntimeConfig make_runtime_config(bool flat, bool oracle = false) {
   runtime::RuntimeConfig config;
   config.ring_size = 64;
   config.optical.wdm.num_wavelengths = 64;
@@ -97,8 +103,9 @@ runtime::RuntimeConfig make_runtime_config(bool flat) {
   config.batcher.enabled = false;
   // The oracle re-proves every schedule; at 10^5+ jobs that is pure
   // per-job overhead identical in both modes, so it would only dilute the
-  // event-loop comparison this bench exists for.
-  config.validate_with_oracle = false;
+  // event-loop comparison this bench exists for.  The oracle-on rung
+  // measures it separately.
+  config.validate_with_oracle = oracle;
   config.flat_hot_path = flat;
   return config;
 }
@@ -128,10 +135,11 @@ Measured run_naive(std::uint64_t jobs, std::uint64_t seed, double rate) {
 }
 
 /// The streaming path: serve() pulls specs straight off the generator.
-Measured run_flat(std::uint64_t jobs, std::uint64_t seed, double rate) {
+Measured run_flat(std::uint64_t jobs, std::uint64_t seed, double rate,
+                  bool oracle = false) {
   const auto start = WallClock::now();
   workload::WorkloadGenerator gen(make_workload_config(jobs, seed, rate));
-  runtime::CollectiveRuntime rt(make_runtime_config(/*flat=*/true));
+  runtime::CollectiveRuntime rt(make_runtime_config(/*flat=*/true, oracle));
   Measured m;
   m.report = rt.serve(gen);
   m.wall_s = seconds_since(start);
@@ -208,6 +216,10 @@ int main(int argc, char** argv) {
   const Measured flat = run_flat(jobs, seed, rate);
   const std::uint64_t flat_rss_kb = peak_rss_kb();
 
+  std::printf("flat streaming serve, oracle on: %lu jobs...\n",
+              static_cast<unsigned long>(jobs));
+  const Measured proven = run_flat(jobs, seed, rate, /*oracle=*/true);
+
   std::printf("naive materialized run: %lu jobs...\n",
               static_cast<unsigned long>(naive_jobs));
   const Measured naive = run_naive(naive_jobs, seed, rate);
@@ -219,6 +231,11 @@ int main(int argc, char** argv) {
   std::printf("comparing reports at %lu jobs...\n",
               static_cast<unsigned long>(naive_jobs));
   const bool identical = reports_identical(flat_ref.report, naive.report);
+  std::printf("comparing oracle-on and oracle-off reports at %lu jobs...\n",
+              static_cast<unsigned long>(jobs));
+  const bool oracle_identical =
+      reports_identical(proven.report, flat.report) &&
+      proven.report.oracle_failures == 0;
 
   const double flat_jps =
       static_cast<double>(flat.report.completed) / flat.wall_s;
@@ -230,25 +247,34 @@ int main(int argc, char** argv) {
   const double flat_ref_jps =
       static_cast<double>(flat_ref.report.completed) / flat_ref.wall_s;
   const double speedup = flat_ref_jps / naive_jps;
+  const double oracle_on_jps =
+      static_cast<double>(proven.report.completed) / proven.wall_s;
 
   std::printf("\n%-28s %12s %14s\n", "mode", "wall", "jobs/sec");
   std::printf("%-28s %10.2fs %14.0f\n", "naive (materialized run)",
               naive.wall_s, naive_jps);
   std::printf("%-28s %10.2fs %14.0f\n", "flat (streaming serve)", flat.wall_s,
               flat_jps);
+  std::printf("%-28s %10.2fs %14.0f  (%.2fx of oracle off)\n",
+              "flat, oracle on", proven.wall_s, oracle_on_jps,
+              oracle_on_jps / flat_jps);
   std::printf("\nsame-count speedup: %.1fx (both modes at %lu jobs)\n",
               speedup, static_cast<unsigned long>(naive_jobs));
   std::printf("flat-phase peak RSS: %lu kB\n",
               static_cast<unsigned long>(flat_rss_kb));
   std::printf("reports bit-identical: %s\n", identical ? "yes" : "NO");
+  std::printf("oracle-on report bit-identical: %s\n",
+              oracle_identical ? "yes" : "NO");
 
-  const bool ok = identical && speedup >= 10.0 &&
+  const bool ok = identical && oracle_identical && speedup >= 10.0 &&
                   flat.report.completed == jobs &&
                   naive.report.completed == naive_jobs;
 
   harness::BenchJson json("serve_throughput");
   json.note("verdict", ok ? "PASS" : "FAIL");
   json.note("reports_bit_identical", identical ? "pass" : "fail");
+  json.note("oracle_on_report_bit_identical",
+            oracle_identical ? "pass" : "fail");
   json.metric("flat_jobs", static_cast<double>(jobs));
   json.metric("naive_jobs", static_cast<double>(naive_jobs));
   json.metric("arrival_rate_per_sec", rate);
@@ -256,6 +282,8 @@ int main(int argc, char** argv) {
   json.metric("naive_jobs_per_sec", naive_jps);
   json.metric("same_count_flat_jobs_per_sec", flat_ref_jps);
   json.metric("speedup", speedup);
+  json.metric("oracle_on_jobs_per_s", oracle_on_jps);
+  json.metric("oracle_on_ratio", oracle_on_jps / flat_jps);
   json.metric("flat_wall_s", flat.wall_s);
   json.metric("naive_wall_s", naive.wall_s);
   json.metric("flat_peak_rss_kb", static_cast<double>(flat_rss_kb));
@@ -264,7 +292,7 @@ int main(int argc, char** argv) {
               flat.report.slo.p99_turnaround.value());
   json.write();
 
-  std::printf("flat >= 10x naive and reports identical: %s\n",
+  std::printf("flat >= 10x naive and all reports identical: %s\n",
               ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -1,8 +1,10 @@
 // Correctness oracles for every collective primitive: each initializes real
-// payload vectors, executes the schedule with the FunctionalExecutor, and
-// compares the outcome against the mathematical definition of the
-// collective.  Small-integer payloads keep double arithmetic exact, so all
-// comparisons are equality, not tolerance.
+// payload vectors (coll::fill_payload, one stream per node), executes the
+// schedule with the FunctionalExecutor, and compares the outcome against
+// the mathematical definition of the collective.  Small-integer payloads
+// keep double arithmetic exact, so all comparisons are equality, not
+// tolerance.  The subset all-reduce proofs materialize only the rows they
+// can observe, so their cost follows the participants, not the ring.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,10 @@ class Oracle {
   /// All-reduce restricted to a subset: every participant ends with the
   /// element-wise sum over the participants' initial vectors, and every
   /// non-participant's vector is untouched (elastic-membership schedules).
+  /// Participants must be distinct nodes of the schedule; aborts otherwise.
+  ///
+  /// Rows are materialized for the participants and every transfer's src
+  /// and dst only; a node no transfer touches is untouched by construction.
   static OracleResult verify_allreduce_among(
       const Schedule& schedule, const std::vector<NodeId>& participants,
       std::size_t payload_len, std::uint64_t seed = 7);
@@ -61,7 +67,9 @@ class Oracle {
   /// `recipients` (a subset of the contributors — the survivors of a
   /// mid-flight eviction) must end holding it.  Nodes outside the
   /// contributor set must be untouched; evicted contributors' final state
-  /// is unspecified (their hardware is gone).
+  /// is unspecified (their hardware is gone).  Contributors must be distinct
+  /// nodes of the schedule and every recipient a contributor; aborts
+  /// otherwise.
   static OracleResult verify_allreduce_among(
       const Schedule& schedule, const std::vector<NodeId>& contributors,
       const std::vector<NodeId>& recipients, std::size_t payload_len,

@@ -538,25 +538,34 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   // bar as an optical one, before touching its fabric.  Chunk granularity
   // follows the plan (Wrht schedules carry the full vector in one chunk,
   // electrical ring schedules are chunked); renegotiation never changes it,
-  // so the executed prefix always shares the plan's granularity.
-  coll::Schedule composite("composite", config_.ring_size,
-                           exec.plan->schedule().num_chunks());
-  for (const auto* steps : {&exec.executed, &exec.plan->schedule().steps()}) {
-    for (const coll::Step& step : *steps) {
-      composite.add_step();
-      for (const coll::Transfer& t : step.transfers) composite.add_transfer(t);
+  // so the executed prefix always shares the plan's granularity.  With no
+  // prefix run yet the plan's schedule is the whole composite.
+  std::optional<coll::Schedule> composite;
+  if (!exec.executed.empty()) {
+    composite.emplace("composite", config_.ring_size,
+                      exec.plan->schedule().num_chunks());
+    for (const auto* steps :
+         {&exec.executed, &exec.plan->schedule().steps()}) {
+      for (const coll::Step& step : *steps) {
+        composite->add_step();
+        for (const coll::Transfer& t : step.transfers) {
+          composite->add_transfer(t);
+        }
+      }
     }
   }
+  const coll::Schedule& proven =
+      composite ? *composite : exec.plan->schedule();
   // Faults change the delivery contract, not the sum: once nodes were
   // evicted mid-flight, every ORIGINAL participant contributed but only
   // the survivors must end holding the total (the evicted nodes' hardware
   // is gone — their final state is unspecified).
   const coll::OracleResult verdict =
       exec.recipients.size() == exec.participants.size()
-          ? coll::Oracle::verify_allreduce_among(composite, exec.participants,
+          ? coll::Oracle::verify_allreduce_among(proven, exec.participants,
                                                  config_.oracle_payload_len)
           : coll::Oracle::verify_allreduce_among(
-                composite, exec.participants, exec.recipients,
+                proven, exec.participants, exec.recipients,
                 config_.oracle_payload_len);
   if (!verdict.ok) ++report_.oracle_failures;
   // A schedule that fails the oracle must never touch its fabric; like a

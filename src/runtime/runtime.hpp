@@ -132,8 +132,12 @@ struct RuntimeConfig {
   /// Wavelength request used when a JobSpec leaves requested_wavelengths 0.
   std::uint32_t default_request = 8;
   /// Prove every execution's schedule with the functional oracle before
-  /// running it (cheap: oracle payloads are oracle_payload_len doubles).
+  /// running it.
   bool validate_with_oracle = true;
+  /// Doubles per payload row in each proof.  A proof materializes one row
+  /// per node it can observe (the participants and every transfer's
+  /// endpoints, never the idle rest of the ring), so its cost scales with
+  /// the job's participants, this length, and the schedule's transfers.
   std::size_t oracle_payload_len = 48;
   /// Step-boundary elastic resize: grow a running execution's band into
   /// adjacent freed spectrum when that shortens its remaining schedule, and

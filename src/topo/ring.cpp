@@ -56,19 +56,6 @@ Arc RingTopology::arc(NodeId src, NodeId dst, Direction dir) const {
   return Arc{dir, first, length};
 }
 
-std::vector<SpanId> RingTopology::spans(const Arc& a) const {
-  std::vector<SpanId> out;
-  out.reserve(a.length);
-  SpanId span = a.first;
-  for (std::uint32_t i = 0; i < a.length; ++i) {
-    out.push_back(span);
-    span = a.direction == Direction::kClockwise
-               ? (span + 1) % num_nodes_
-               : (span + num_nodes_ - 1) % num_nodes_;
-  }
-  return out;
-}
-
 bool RingTopology::arc_covers(const Arc& a, SpanId span) const {
   if (a.length == 0) return false;
   if (a.length >= num_nodes_) return true;

@@ -10,8 +10,9 @@
 //  * distance — number of spans a transfer crosses (= hop count).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <iterator>
 
 namespace wrht::topo {
 
@@ -39,6 +40,70 @@ struct Arc {
   [[nodiscard]] bool empty() const { return length == 0; }
 };
 
+/// The spans an arc covers, in traversal order, as a lightweight range:
+/// iterating it walks the ring without allocating.
+class SpanRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = SpanId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const SpanId*;
+    using reference = SpanId;
+
+    iterator() = default;
+    iterator(SpanId span, std::uint32_t index, std::uint32_t num_spans,
+             Direction direction)
+        : span_(span),
+          index_(index),
+          num_spans_(num_spans),
+          direction_(direction) {}
+
+    SpanId operator*() const { return span_; }
+    iterator& operator++() {
+      if (direction_ == Direction::kClockwise) {
+        span_ = span_ + 1 == num_spans_ ? 0 : span_ + 1;
+      } else {
+        span_ = span_ == 0 ? num_spans_ - 1 : span_ - 1;
+      }
+      ++index_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    /// Iterators of one range compare by position along the arc.
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.index_ == b.index_;
+    }
+
+   private:
+    SpanId span_ = 0;
+    std::uint32_t index_ = 0;
+    std::uint32_t num_spans_ = 0;
+    Direction direction_ = Direction::kClockwise;
+  };
+
+  SpanRange(const Arc& arc, std::uint32_t num_spans)
+      : arc_(arc), num_spans_(num_spans) {}
+
+  [[nodiscard]] iterator begin() const {
+    return {arc_.first, 0, num_spans_, arc_.direction};
+  }
+  /// One past the last span; its span id is never read.
+  [[nodiscard]] iterator end() const {
+    return {arc_.first, arc_.length, num_spans_, arc_.direction};
+  }
+  [[nodiscard]] std::size_t size() const { return arc_.length; }
+
+ private:
+  Arc arc_;
+  std::uint32_t num_spans_;
+};
+
 class RingTopology {
  public:
   explicit RingTopology(std::uint32_t num_nodes);
@@ -60,8 +125,10 @@ class RingTopology {
   /// Requires src != dst.
   [[nodiscard]] Arc arc(NodeId src, NodeId dst, Direction dir) const;
 
-  /// Span ids covered by an arc, in traversal order.
-  [[nodiscard]] std::vector<SpanId> spans(const Arc& arc) const;
+  /// Span ids covered by an arc, in traversal order (allocation-free).
+  [[nodiscard]] SpanRange spans(const Arc& arc) const {
+    return SpanRange(arc, num_nodes_);
+  }
 
   /// Whether two arcs share at least one span *on the same waveguide*.
   /// Arcs on opposite directions never conflict (separate waveguides).

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace wrht::topo {
 namespace {
+
+/// The span ids of `arc`, materialized for comparison.
+std::vector<SpanId> span_list(const RingTopology& ring, const Arc& arc) {
+  const SpanRange spans = ring.spans(arc);
+  return {spans.begin(), spans.end()};
+}
 
 TEST(Ring, Distances) {
   const RingTopology ring(8);
@@ -30,7 +37,7 @@ TEST(Ring, ClockwiseArcSpans) {
   const RingTopology ring(8);
   const Arc arc = ring.arc(2, 5, Direction::kClockwise);
   EXPECT_EQ(arc.length, 3u);
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{2, 3, 4}));
+  EXPECT_EQ(span_list(ring, arc), (std::vector<SpanId>{2, 3, 4}));
 }
 
 TEST(Ring, CounterClockwiseArcSpans) {
@@ -38,14 +45,14 @@ TEST(Ring, CounterClockwiseArcSpans) {
   const Arc arc = ring.arc(2, 7, Direction::kCounterClockwise);
   EXPECT_EQ(arc.length, 3u);
   // Travelling 2 -> 1 -> 0 -> 7 uses spans 1, 0, 7 in that order.
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{1, 0, 7}));
+  EXPECT_EQ(span_list(ring, arc), (std::vector<SpanId>{1, 0, 7}));
 }
 
 TEST(Ring, WrappingClockwiseArc) {
   const RingTopology ring(8);
   const Arc arc = ring.arc(6, 1, Direction::kClockwise);
   EXPECT_EQ(arc.length, 3u);
-  EXPECT_EQ(ring.spans(arc), (std::vector<SpanId>{6, 7, 0}));
+  EXPECT_EQ(span_list(ring, arc), (std::vector<SpanId>{6, 7, 0}));
 }
 
 TEST(Ring, ArcCovers) {
@@ -153,8 +160,8 @@ TEST(Ring, TwoNodeRing) {
   EXPECT_EQ(ring.shortest_distance(0, 1), 1u);
   const Arc cw = ring.arc(0, 1, Direction::kClockwise);
   const Arc ccw = ring.arc(0, 1, Direction::kCounterClockwise);
-  EXPECT_EQ(ring.spans(cw), (std::vector<SpanId>{0}));
-  EXPECT_EQ(ring.spans(ccw), (std::vector<SpanId>{1}));
+  EXPECT_EQ(span_list(ring, cw), (std::vector<SpanId>{0}));
+  EXPECT_EQ(span_list(ring, ccw), (std::vector<SpanId>{1}));
   EXPECT_FALSE(ring.arcs_conflict(cw, ccw));
 }
 
