@@ -18,6 +18,11 @@ constexpr double kEpsilonBytes = 1e-3;
 
 }  // namespace
 
+FlowNetwork::FlowNetwork(std::span<const LinkSpec> links) {
+  links_.reserve(links.size());
+  for (const LinkSpec& spec : links) add_link(spec);
+}
+
 LinkId FlowNetwork::add_link(LinkSpec spec) {
   WRHT_REQUIRE(spec.capacity.bytes_per_second() > 0.0,
                "FlowNetwork: link capacity must be positive, got "
@@ -26,100 +31,117 @@ LinkId FlowNetwork::add_link(LinkSpec spec) {
   return static_cast<LinkId>(links_.size() - 1);
 }
 
-FlowId FlowNetwork::add_flow(std::vector<LinkId> route, util::Bytes bytes) {
+FlowId FlowNetwork::add_flow(std::span<const LinkId> route,
+                             util::Bytes bytes) {
   util::Seconds latency{0.0};
   for (const LinkId link : route) {
     WRHT_REQUIRE(link < links_.size(),
                  "FlowNetwork: route uses unknown link " << link);
     latency += links_[link].spec.latency;
   }
+  WRHT_CHECK(route_pool_.size() + route.size() <=
+                 std::numeric_limits<std::uint32_t>::max(),
+             "FlowNetwork: route pool overflow ("
+                 << route_pool_.size() << " links held)");
   Flow flow;
-  flow.route = std::move(route);
+  flow.route_offset = static_cast<std::uint32_t>(route_pool_.size());
+  flow.route_len = static_cast<std::uint32_t>(route.size());
+  route_pool_.insert(route_pool_.end(), route.begin(), route.end());
   flow.remaining = bytes.as_double();
   flow.activation = now_ + latency;
-  flows_.push_back(std::move(flow));
+  flows_.push_back(flow);
   const FlowId id = base_ + static_cast<FlowId>(flows_.size() - 1);
   live_.push_back(id);
   return id;
 }
 
 void FlowNetwork::recompute_rates() {
-  // Progressive filling over the active flows.
-  std::vector<double> residual(links_.size());
-  std::vector<std::uint32_t> crossing(links_.size(), 0);
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    residual[l] = links_[l].spec.capacity.bytes_per_second();
-  }
+  ++rate_solves_;
+  rates_stale_ = false;
+  // The previous solve's links fall back to zero unless touched again.
+  for (const LinkId l : touched_) links_[l].utilization = 0.0;
+  touched_.clear();
+  unfixed_.clear();
 
-  std::vector<FlowId> unfixed;
+  // Progressive filling over the active flows, in live order.  A link's
+  // first crossing enrolls it in the touched set.
   for (const FlowId f : live_) {
     Flow& flow = flow_ref(f);
     if (flow.state != FlowState::kActive) continue;
     flow.rate = 0.0;
-    unfixed.push_back(f);
-    for (const LinkId link : flow.route) ++crossing[link];
+    unfixed_.push_back(f - base_);
+    for (const LinkId l : route_of(flow)) {
+      Link& link = links_[l];
+      if (link.crossing++ == 0) {
+        link.residual = link.spec.capacity.bytes_per_second();
+        touched_.push_back(l);
+      }
+    }
   }
 
-  while (!unfixed.empty()) {
-    // The bottleneck link offers the smallest fair share.
+  while (!unfixed_.empty()) {
+    // The bottleneck link offers the smallest fair share (an exact min, so
+    // the touched-set order does not matter).
     double min_share = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      if (crossing[l] == 0) continue;
-      min_share = std::min(min_share, residual[l] / crossing[l]);
+    for (const LinkId l : touched_) {
+      Link& link = links_[l];
+      if (link.crossing == 0) continue;
+      link.share = link.residual / link.crossing;
+      min_share = std::min(min_share, link.share);
     }
     // Flows with empty routes have no constraining link; "infinitely
     // fast" is unphysical, so forbid them instead.
     WRHT_CHECK(std::isfinite(min_share),
                "FlowNetwork: active flow with empty route");
 
-    // Freeze every unfixed flow that crosses a bottleneck link.
-    std::vector<FlowId> still_unfixed;
-    for (const FlowId f : unfixed) {
-      Flow& flow = flow_ref(f);
-      bool bottlenecked = false;
-      for (const LinkId link : flow.route) {
-        if (residual[link] / crossing[link] <= min_share * (1 + 1e-12)) {
-          bottlenecked = true;
-          break;
-        }
+    // Freeze every unfixed flow that crosses a bottleneck link and charge
+    // it against its links.  The freeze test reads the shares taken at the
+    // start of the round, so charging in the same pass is the same
+    // arithmetic, in the same order, as freezing all flows first.
+    const double limit = min_share * (1 + 1e-12);
+    std::size_t kept = 0;
+    for (const std::uint32_t index : unfixed_) {
+      Flow& flow = flows_[index];
+      const std::span<const LinkId> route = route_of(flow);
+      const bool bottlenecked =
+          std::any_of(route.begin(), route.end(),
+                      [&](LinkId l) { return links_[l].share <= limit; });
+      if (!bottlenecked) {
+        unfixed_[kept++] = index;
+        continue;
       }
-      if (bottlenecked) {
-        flow.rate = min_share;
-      } else {
-        still_unfixed.push_back(f);
-      }
-    }
-    // Charge frozen flows against their links.
-    for (const FlowId f : unfixed) {
-      const Flow& flow = flow_ref(f);
-      // simlint-allow(float-eq): 0.0 is an exact sentinel set by freeze(), not
-      // a computed value; an epsilon would misclassify tiny live rates.
-      if (flow.rate == 0.0) continue;
-      for (const LinkId link : flow.route) {
-        residual[link] -= flow.rate;
-        if (residual[link] < 0.0) residual[link] = 0.0;
-        --crossing[link];
+      flow.rate = min_share;
+      // A zero share (a saturated link) freezes flows without charging.
+      if (min_share <= 0.0) continue;
+      for (const LinkId l : route) {
+        Link& link = links_[l];
+        link.residual -= min_share;
+        if (link.residual < 0.0) link.residual = 0.0;
+        --link.crossing;
       }
     }
-    WRHT_CHECK(still_unfixed.size() != unfixed.size(),
+    WRHT_CHECK(kept != unfixed_.size(),
                "FlowNetwork: progressive filling stalled with "
-                   << unfixed.size() << " unfixed flows");
-    unfixed = std::move(still_unfixed);
+                   << unfixed_.size() << " unfixed flows");
+    unfixed_.resize(kept);
   }
 
   // Rates only change here, so sampling here makes the per-link peak exact.
-  std::vector<double> allocated(links_.size(), 0.0);
+  for (const LinkId l : touched_) {
+    links_[l].allocated = 0.0;
+    links_[l].crossing = 0;
+  }
   for (const FlowId f : live_) {
     const Flow& flow = flow_ref(f);
     if (flow.state != FlowState::kActive) continue;
-    for (const LinkId link : flow.route) allocated[link] += flow.rate;
+    for (const LinkId l : route_of(flow)) links_[l].allocated += flow.rate;
   }
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    const double utilization =
-        allocated[l] / links_[l].spec.capacity.bytes_per_second();
-    links_[l].utilization = utilization;
-    links_[l].peak_utilization = std::max(links_[l].peak_utilization,
-                                          utilization);
+  for (const LinkId l : touched_) {
+    Link& link = links_[l];
+    link.utilization =
+        link.allocated / link.spec.capacity.bytes_per_second();
+    link.peak_utilization =
+        std::max(link.peak_utilization, link.utilization);
   }
 }
 
@@ -143,7 +165,7 @@ void FlowNetwork::advance_to(util::Seconds when) {
     if (flow.state != FlowState::kActive) continue;
     const double moved = flow.rate * dt;
     flow.remaining -= moved;
-    for (const LinkId link : flow.route) {
+    for (const LinkId link : route_of(flow)) {
       links_[link].carried_bytes += moved;
     }
   }
@@ -156,12 +178,14 @@ void FlowNetwork::settle() {
     Flow& flow = flow_ref(f);
     if (flow.state == FlowState::kWaiting && flow.activation <= now_) {
       flow.state = FlowState::kActive;
+      rates_stale_ = true;
     }
     if (flow.state == FlowState::kActive && flow.remaining <= kEpsilonBytes) {
       flow.state = FlowState::kDone;
       flow.completion = now_;
       flow.rate = 0.0;
       any_done = true;
+      rates_stale_ = true;
     }
   }
   if (any_done) {
@@ -179,7 +203,7 @@ util::Seconds FlowNetwork::run() {
 
 util::Seconds FlowNetwork::run_until(util::Seconds horizon) {
   while (!live_.empty()) {
-    recompute_rates();
+    if (rates_stale_) recompute_rates();
     const util::Seconds when = next_event_time();
     WRHT_CHECK(std::isfinite(when.value()),
                "FlowNetwork: deadlock — " << live_.size()
@@ -189,8 +213,8 @@ util::Seconds FlowNetwork::run_until(util::Seconds horizon) {
     settle();
   }
   if (std::isfinite(horizon.value()) && horizon > now_) {
-    // Partial progress up to the horizon (rates were just recomputed when
-    // flows are live; with none, this only moves the clock), then absorb
+    // Partial progress up to the horizon (rates are current when flows are
+    // live; with none, this only moves the clock), then absorb
     // any flow the rounding of a split advance left epsilon-short.
     advance_to(horizon);
     settle();
@@ -233,15 +257,25 @@ double FlowNetwork::link_utilization(LinkId link) const {
 FlowNetwork FlowNetwork::clone_live(std::vector<FlowId>& id_map) const {
   // live_ is ascending, so the copy receives the flows in the same (id)
   // order the historical whole-table walk produced — the max-min arithmetic
-  // downstream is bit-identical.
+  // downstream is bit-identical, and the solved rates stay valid.
   FlowNetwork copy;
   copy.links_ = links_;
   copy.now_ = now_;
+  copy.rates_stale_ = rates_stale_;
+  copy.touched_ = touched_;
   id_map.assign(flows_.size(), kNoFlow);
+  copy.flows_.reserve(live_.size());
+  copy.live_.reserve(live_.size());
   for (const FlowId f : live_) {
-    id_map[f - base_] = static_cast<FlowId>(copy.flows_.size());
-    copy.live_.push_back(static_cast<FlowId>(copy.flows_.size()));
-    copy.flows_.push_back(flow_ref(f));
+    const auto id = static_cast<FlowId>(copy.flows_.size());
+    id_map[f - base_] = id;
+    copy.live_.push_back(id);
+    Flow flow = flow_ref(f);
+    const std::span<const LinkId> route = route_of(flow);
+    flow.route_offset = static_cast<std::uint32_t>(copy.route_pool_.size());
+    copy.route_pool_.insert(copy.route_pool_.end(), route.begin(),
+                            route.end());
+    copy.flows_.push_back(flow);
   }
   return copy;
 }
@@ -257,14 +291,26 @@ void FlowNetwork::retire_done_below(FlowId floor) {
   // retired prefix is worth the move; memory stays bounded by the in-flight
   // window plus this slack.
   if (drop < 64 && drop * 2 < flows_.size()) return;
+  // Routes sit in the pool in flow order, so the retired flows' routes are
+  // its prefix; survivors shift down by that prefix.
+  const std::uint32_t pool_drop =
+      drop < flows_.size() ? flows_[drop].route_offset
+                           : static_cast<std::uint32_t>(route_pool_.size());
   flows_.erase(flows_.begin(),
                flows_.begin() + static_cast<std::ptrdiff_t>(drop));
+  route_pool_.erase(route_pool_.begin(),
+                    route_pool_.begin() +
+                        static_cast<std::ptrdiff_t>(pool_drop));
+  for (Flow& flow : flows_) flow.route_offset -= pool_drop;
   base_ = floor;
 }
 
 void FlowNetwork::reset() {
   flows_.clear();
   live_.clear();
+  route_pool_.clear();
+  touched_.clear();
+  rates_stale_ = false;
   base_ = 0;
   now_ = util::Seconds(0.0);
   for (Link& link : links_) {

@@ -10,10 +10,35 @@
 //
 // Latency is modelled as an activation delay: a flow placed at time t with
 // route latency L starts consuming bandwidth at t + L.
+//
+// The filling kernel is the textbook one made cheap without changing a bit
+// of its arithmetic:
+//
+//  * Touched links only.  Each round scans the links active flows cross,
+//    not every link of the fabric.  The bottleneck is the exact minimum of
+//    residual/crossing, which does not depend on scan order; flows are
+//    still frozen and charged in live order with the same 1e-12 tolerance
+//    and clamp.  Utilization is written for the links touched now, and a
+//    link touched by the previous solve but not this one is reset to 0.
+//  * Solve only on an active-set change.  Rates are a pure function of the
+//    active flows in live order, and only settle() changes that set (an
+//    activation or a completion), so the solve is skipped otherwise;
+//    clone_live copies carry the solved state.
+//  * No per-solve or per-flow allocation.  Solver scratch lives in the link
+//    records and reused member lists; routes live in one flat pool.
+//
+// The solve is deliberately NOT component-incremental (re-solving only the
+// bottleneck-coupled component an arriving or departing flow touches): the
+// 1e-12 freeze tolerance couples components through the global round order
+// — a link within 1e-12 of another component's minimum is frozen at that
+// minimum — so a per-component solve would not be bit-identical, and the
+// shared fabric's replay audit demands bitwise step times.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/units.hpp"
@@ -33,11 +58,23 @@ struct LinkSpec {
 
 class FlowNetwork {
  public:
+  FlowNetwork() = default;
+  /// A network with one link per spec; link ids follow the span's order.
+  explicit FlowNetwork(std::span<const LinkSpec> links);
+
   LinkId add_link(LinkSpec spec);
   [[nodiscard]] std::size_t num_links() const { return links_.size(); }
+  [[nodiscard]] const LinkSpec& link_spec(LinkId link) const {
+    return links_[link].spec;
+  }
 
   /// Place a flow of `bytes` over `route` starting at the current time.
-  FlowId add_flow(std::vector<LinkId> route, util::Bytes bytes);
+  /// The route is copied into the network's flat route pool.
+  FlowId add_flow(std::span<const LinkId> route, util::Bytes bytes);
+  FlowId add_flow(std::initializer_list<LinkId> route, util::Bytes bytes) {
+    return add_flow(std::span<const LinkId>(route.begin(), route.size()),
+                    bytes);
+  }
 
   /// Advance the fluid simulation until every flow has completed.
   /// Returns the simulated time reached.
@@ -94,6 +131,11 @@ class FlowNetwork {
   /// Drop all flows (completed or not) and zero the clock; links persist.
   void reset();
 
+  /// Max-min solves performed since construction (not cleared by reset; a
+  /// clone_live copy counts its own from 0).  A deterministic work counter:
+  /// a run_until that sees no activation or completion adds nothing.
+  [[nodiscard]] std::uint64_t rate_solves() const { return rate_solves_; }
+
  private:
   enum class FlowState : std::uint8_t { kWaiting, kActive, kDone };
 
@@ -103,9 +145,17 @@ class FlowNetwork {
     double peak_utilization = 0.0;
     /// Allocated rate / capacity as of the last recompute_rates().
     double utilization = 0.0;
+    // Progressive-filling scratch, meaningful only inside recompute_rates.
+    // `crossing` is 0 between solves, which is what marks a link untouched.
+    double residual = 0.0;
+    double share = 0.0;
+    double allocated = 0.0;
+    std::uint32_t crossing = 0;
   };
   struct Flow {
-    std::vector<LinkId> route;
+    /// The route is route_pool_[route_offset, route_offset + route_len).
+    std::uint32_t route_offset = 0;
+    std::uint32_t route_len = 0;
     double remaining = 0.0;  // bytes
     double rate = 0.0;       // bytes/second while active
     util::Seconds activation{0.0};
@@ -122,6 +172,9 @@ class FlowNetwork {
   [[nodiscard]] const Flow& flow_ref(FlowId id) const {
     return flows_[id - base_];
   }
+  [[nodiscard]] std::span<const LinkId> route_of(const Flow& flow) const {
+    return {route_pool_.data() + flow.route_offset, flow.route_len};
+  }
 
   std::vector<Link> links_;
   /// Storage for flows with id >= base_ (flow `id` lives at
@@ -133,7 +186,20 @@ class FlowNetwork {
   /// not all flows ever added (the Figure-2 harness pushes millions of
   /// flows through one network).
   std::vector<FlowId> live_;
+  /// Routes of the flows in flows_, concatenated in flow order.
+  std::vector<LinkId> route_pool_;
   util::Seconds now_{0.0};
+
+  /// True when the active set changed since the last solve.  A fresh or
+  /// reset network holds the solved state of the empty set (zero rates and
+  /// utilizations), so it starts clean.
+  bool rates_stale_ = false;
+  std::uint64_t rate_solves_ = 0;
+  /// Links the last solve touched: the only links whose utilization may be
+  /// non-zero, so the next solve zeroes them before writing its own.
+  std::vector<LinkId> touched_;
+  /// Solver scratch: flows_ indices of the still-unfixed active flows.
+  std::vector<std::uint32_t> unfixed_;
 };
 
 }  // namespace wrht::elec

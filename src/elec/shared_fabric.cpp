@@ -92,10 +92,10 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
   session.step_start = now;
   session.step_number = static_cast<std::uint64_t>(step);
   for (const coll::Transfer& t : schedule.steps()[step].transfers) {
-    const std::vector<LinkId>& route = cluster_->route(t.src, t.dst);
     const util::Bytes bytes = schedule.chunk_bytes(payload, t.chunk);
-    session.inflight.push_back(network_.add_flow(route, bytes));
-    if (audit_) logged.flows.push_back(LoggedFlow{route, bytes});
+    session.inflight.push_back(
+        network_.add_flow(cluster_->route(t.src, t.dst), bytes));
+    if (audit_) logged.flows.push_back(LoggedFlow{t.src, t.dst, bytes});
   }
   session.has_step = !session.inflight.empty();
   if (audit_) {
@@ -259,7 +259,7 @@ std::uint64_t SharedFabricTimer::verify_replay() const {
     const LoggedStep& logged = steps_[static_cast<std::size_t>(op.step)];
     for (const LoggedFlow& flow : logged.flows) {
       replay_ids[static_cast<std::size_t>(op.step)].push_back(
-          replay.add_flow(flow.route, flow.bytes));
+          replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
     }
   }
   replay.run();  // drains nothing on a fully-closed log

@@ -139,8 +139,12 @@ class SharedFabricTimer {
   [[nodiscard]] std::uint64_t verify_replay() const;
 
  private:
+  /// A logged flow keeps its host pair, not a route copy: the replay
+  /// re-derives the route from the cluster's route table, the same table
+  /// the live injection read it from.
   struct LoggedFlow {
-    std::vector<LinkId> route;
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
     util::Bytes bytes;
   };
   struct LoggedStep {

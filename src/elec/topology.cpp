@@ -94,23 +94,26 @@ const std::vector<LinkId>& ElectricalCluster::route(
                    host_a != host_b,
                "ElectricalCluster::route: bad hosts " << host_a << ","
                                                       << host_b);
-  const auto key = std::make_pair(host_a, host_b);
-  const auto it = route_cache_.find(key);
-  if (it != route_cache_.end()) return it->second;
+  if (route_slot_.empty()) {
+    route_slot_.assign(static_cast<std::size_t>(num_hosts()) * num_hosts(),
+                       0);
+    routes_.emplace();
+  }
+  std::uint32_t& slot =
+      route_slot_[static_cast<std::size_t>(host_a) * num_hosts() + host_b];
+  if (slot != 0) return (*routes_)[slot - 1];
 
-  const auto path = graph_.shortest_path(hosts_[host_a], hosts_[host_b]);
+  auto path = graph_.shortest_path(hosts_[host_a], hosts_[host_b]);
   WRHT_CHECK(path.has_value(),
              "ElectricalCluster::route: hosts " << host_a << "," << host_b
                                                 << " unreachable");
-  return route_cache_.emplace(key, *path).first->second;
+  routes_->push_back(std::move(*path));
+  slot = static_cast<std::uint32_t>(routes_->size());
+  return routes_->back();
 }
 
 FlowNetwork ElectricalCluster::make_network() const {
-  FlowNetwork network;
-  for (const LinkSpec& spec : link_specs_) {
-    network.add_link(spec);
-  }
-  return network;
+  return FlowNetwork(link_specs_);
 }
 
 util::Seconds ElectricalCluster::route_latency(std::uint32_t host_a,

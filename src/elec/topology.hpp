@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -47,7 +47,11 @@ class ElectricalCluster {
   [[nodiscard]] const topo::Graph& graph() const { return graph_; }
 
   /// Link ids along the route from host a to host b (a != b).
-  /// Routes are cached; the cluster must outlive callers using them.
+  /// Routes live in a dense host x host table filled lazily (each pair is
+  /// routed on its first request, the table allocated on the first request
+  /// of all), so building a cluster stays O(links).  The returned reference
+  /// stays valid and unchanged for the cluster's lifetime; the cluster must
+  /// outlive callers using it.
   [[nodiscard]] const std::vector<LinkId>& route(std::uint32_t host_a,
                                                  std::uint32_t host_b) const;
 
@@ -69,9 +73,12 @@ class ElectricalCluster {
   std::vector<topo::VertexId> hosts_;
   ElectricalParams host_params_;
   std::vector<LinkSpec> link_specs_;  // indexed by edge id
-  mutable std::map<std::pair<std::uint32_t, std::uint32_t>,
-                   std::vector<LinkId>>
-      route_cache_;
+  /// route_slot_[a * num_hosts + b] is 1 + the index of route (a, b) in
+  /// routes_, or 0 while unrouted.  Both come into being on the first
+  /// route() call (even an empty std::deque allocates); routes_ is a deque
+  /// so appending never moves a route already handed out.
+  mutable std::vector<std::uint32_t> route_slot_;
+  mutable std::optional<std::deque<std::vector<LinkId>>> routes_;
 };
 
 }  // namespace wrht::elec

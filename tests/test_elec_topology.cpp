@@ -115,6 +115,44 @@ TEST(TwoLevelTree, RejectsBadShapes) {
   EXPECT_TRUE(ElectricalCluster::two_level_tree(8, 16, 8.0, test_params()));
 }
 
+TEST(RouteTable, ReferencesSurviveRoutingEveryOtherPair) {
+  const ElectricalCluster cluster =
+      *ElectricalCluster::two_level_tree(64, 4, 4.0, test_params());
+  const std::vector<LinkId>& held = cluster.route(3, 42);
+  const std::vector<LinkId> expected = held;
+  const LinkId* held_data = held.data();
+  ASSERT_EQ(expected.size(), 4u);  // host -> ToR -> core -> ToR -> host
+  for (std::uint32_t a = 0; a < cluster.num_hosts(); ++a) {
+    for (std::uint32_t b = 0; b < cluster.num_hosts(); ++b) {
+      if (a != b) (void)cluster.route(a, b);
+    }
+  }
+  EXPECT_EQ(&cluster.route(3, 42), &held);
+  EXPECT_EQ(held.data(), held_data);
+  EXPECT_EQ(held, expected);
+}
+
+TEST(RouteTable, CopiedClusterRoutesIdentically) {
+  const ElectricalCluster original =
+      *ElectricalCluster::two_level_tree(16, 4, 4.0, test_params());
+  (void)original.route(0, 9);  // the copy inherits a partly filled table
+  const ElectricalCluster copy = original;
+  for (std::uint32_t a = 0; a < original.num_hosts(); ++a) {
+    for (std::uint32_t b = 0; b < original.num_hosts(); ++b) {
+      if (a == b) continue;
+      EXPECT_EQ(copy.route(a, b), original.route(a, b)) << a << "->" << b;
+      EXPECT_NE(&copy.route(a, b), &original.route(a, b));
+    }
+  }
+}
+
+TEST(RouteTableDeathTest, SelfAndOutOfRangeRoutesDie) {
+  const ElectricalCluster cluster = ElectricalCluster::star(4, test_params());
+  EXPECT_DEATH((void)cluster.route(2, 2), "bad hosts 2,2");
+  EXPECT_DEATH((void)cluster.route(0, 4), "bad hosts 0,4");
+  EXPECT_DEATH((void)cluster.route(7, 1), "bad hosts 7,1");
+}
+
 TEST(Cluster, MakeNetworkLinkCountMatchesEdges) {
   const ElectricalCluster cluster = ElectricalCluster::star(6, test_params());
   const FlowNetwork network = cluster.make_network();
