@@ -122,10 +122,6 @@ class SharedFabricTimer {
   /// shared network since construction.  Indexed by the cluster's link ids.
   [[nodiscard]] std::vector<double> link_peak_utilization() const;
 
-  /// CURRENT per-link utilization (as of the shared network's last rate
-  /// recomputation).  Indexed by the cluster's link ids.
-  [[nodiscard]] std::vector<double> link_utilization() const;
-
   /// Steps logged so far (finalized or in flight).
   [[nodiscard]] std::uint64_t logged_steps() const {
     return static_cast<std::uint64_t>(steps_.size());

@@ -15,10 +15,6 @@ namespace wrht::optical {
 struct WdmSpec {
   std::uint32_t num_wavelengths = 64;
   util::Bandwidth wavelength_bandwidth = util::gbps(40.0);
-
-  [[nodiscard]] util::Bandwidth aggregate_bandwidth() const {
-    return wavelength_bandwidth * static_cast<double>(num_wavelengths);
-  }
 };
 
 struct OpticalParams {

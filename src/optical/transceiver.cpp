@@ -30,20 +30,6 @@ bool TransceiverBank::retune_rx(topo::NodeId node, topo::Direction dir,
   return true;
 }
 
-std::optional<WavelengthId> TransceiverBank::tx_position(
-    topo::NodeId node, topo::Direction dir) const {
-  const std::uint32_t position = tx_[slot(node, dir)];
-  if (position == kUntuned) return std::nullopt;
-  return position;
-}
-
-std::optional<WavelengthId> TransceiverBank::rx_position(
-    topo::NodeId node, topo::Direction dir) const {
-  const std::uint32_t position = rx_[slot(node, dir)];
-  if (position == kUntuned) return std::nullopt;
-  return position;
-}
-
 void TransceiverBank::reset() {
   tx_.assign(tx_.size(), kUntuned);
   rx_.assign(rx_.size(), kUntuned);

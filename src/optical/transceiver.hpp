@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "optical/spectrum.hpp"
@@ -25,11 +24,6 @@ class TransceiverBank {
   bool retune_tx(topo::NodeId node, topo::Direction dir, WavelengthId lambda);
   /// Same for the receiver bank.
   bool retune_rx(topo::NodeId node, topo::Direction dir, WavelengthId lambda);
-
-  [[nodiscard]] std::optional<WavelengthId> tx_position(
-      topo::NodeId node, topo::Direction dir) const;
-  [[nodiscard]] std::optional<WavelengthId> rx_position(
-      topo::NodeId node, topo::Direction dir) const;
 
   [[nodiscard]] std::uint64_t total_retunes() const { return retunes_; }
 

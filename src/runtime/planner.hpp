@@ -74,8 +74,6 @@ enum class SpectrumPolicy : std::uint8_t {
   kPlanner,
 };
 
-[[nodiscard]] const char* spectrum_policy_name(SpectrumPolicy policy);
-
 /// An outstanding band and the instant its owner is predicted to return it.
 struct OutstandingBand {
   WavelengthBand band;

@@ -49,16 +49,6 @@ const char* hybrid_placement_policy_name(HybridPlacementPolicy policy) {
   return "?";
 }
 
-const char* routing_cost_model_name(RoutingCostModel model) {
-  switch (model) {
-    case RoutingCostModel::kQuietAlphaBeta:
-      return "quiet-alpha-beta";
-    case RoutingCostModel::kCongestionAware:
-      return "congestion-aware";
-  }
-  return "?";
-}
-
 std::string RuntimeReport::to_string() const {
   std::string out;
   out += "jobs            : " + std::to_string(submitted) + " submitted, " +
@@ -400,7 +390,8 @@ void CollectiveRuntime::try_admit() {
                        optical_->free_grant_total(), simulator_.now(),
                        config_.aging_half_life);
     if (decision) {
-      place_execution(*optical_, decision->queue_index, decision->grant);
+      place_execution(*optical_, decision->queue_index, decision->grant,
+                      /*fuse_band_width=*/decision->grant);
       continue;
     }
     if (try_resume_one()) continue;
@@ -467,7 +458,8 @@ bool CollectiveRuntime::try_place_one_electrical() {
       if (elec_done >= optic_done) continue;
       pending_route_prediction_ = {optic_done, elec_done};
     }
-    place_execution(*electrical_, idx, /*grant=*/1);
+    place_execution(*electrical_, idx, /*grant=*/1,
+                    /*fuse_band_width=*/std::nullopt);
     return true;
   }
   return false;
@@ -485,7 +477,6 @@ util::Seconds CollectiveRuntime::predict(
 
 void CollectiveRuntime::request_preemptions() {
   for (ExecutionSubstrate* substrate : substrates_) {
-    if (!substrate->caps().preemptible) continue;
     // The most urgent waiter for this fabric: the queued contender
     // admission would pick (so preemptions always benefit the job it will
     // actually serve), or a suspended execution of this substrate awaiting
@@ -594,27 +585,19 @@ void CollectiveRuntime::adopt_plan(Execution& exec,
   }
 }
 
-void CollectiveRuntime::place_execution(ExecutionSubstrate& substrate,
-                                        std::size_t queue_index,
-                                        std::uint32_t grant) {
+void CollectiveRuntime::place_execution(
+    ExecutionSubstrate& substrate, std::size_t queue_index,
+    std::uint32_t grant, std::optional<std::uint32_t> fuse_band_width) {
   // Read before the entry is popped: the width the routing audit prices
   // the optical alternative at when the execution lands electrically, and
   // the pin that tells it whether the router chose at all.
   const std::uint32_t lead_request =
       queue_.at(queue_index).requested_wavelengths;
   const SubstratePin lead_pin = queue_.at(queue_index).pin;
-  // A fused peer executes inside the lead's grant; only substrates whose
-  // grants are wavelength-denominated impose the peer's min_wavelengths
-  // floor on it (electrical peers ride host links, not a band).
-  const SubstrateCaps& caps = substrate.caps();
-  const std::vector<std::size_t> members =
-      caps.batchable
-          ? fusable_peers(queue_, queue_index,
-                          caps.fuse_respects_grant
-                              ? grant
-                              : std::numeric_limits<std::uint32_t>::max(),
-                          config_.batcher)
-          : std::vector<std::size_t>{queue_index};
+  const std::vector<std::size_t> members = fusable_peers(
+      queue_, queue_index,
+      fuse_band_width.value_or(std::numeric_limits<std::uint32_t>::max()),
+      config_.batcher);
 
   auto exec = std::make_shared<Execution>();
   exec->substrate = &substrate;
@@ -755,7 +738,7 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   // preempt/resize logic gets a say.
   if (exec->fault_pending && reconcile_faults(exec)) return true;
   ExecutionSubstrate& substrate = *exec->substrate;
-  if (substrate.caps().preemptible && exec->preempt_requested) {
+  if (exec->preempt_requested) {
     exec->preempt_requested = false;
     // Re-check at the boundary: the waiter that asked for this grant — a
     // queued arrival or a suspended execution trying to resume — may have
@@ -771,7 +754,8 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
       return true;
     }
   }
-  if (!config_.elastic_resize || !substrate.caps().resizable) return false;
+  // Only a wavelength band grows or shrinks; host claims are fixed.
+  if (!config_.elastic_resize || !exec->plan->band().valid()) return false;
   // Held (fuse-window) entries are not admissible yet, so they neither
   // justify a shrink nor block a grow.  Suspended executions of this
   // substrate wait for the same capacity: growing past them would hand a
@@ -783,7 +767,7 @@ bool CollectiveRuntime::renegotiate(const std::shared_ptr<Execution>& exec) {
   }
   if (waiter) {
     try_shrink(exec);
-  } else if (exec->plan->grant() < exec->useful_cap) {
+  } else if (exec->plan->band().width < exec->useful_cap) {
     resize(*exec,
            RenegotiationRequest::grow(exec->next_step, exec->useful_cap));
   }
@@ -892,7 +876,7 @@ bool CollectiveRuntime::try_resume_one() {
 }
 
 void CollectiveRuntime::try_shrink(const std::shared_ptr<Execution>& exec) {
-  const std::uint32_t width = exec->plan->grant();
+  const std::uint32_t width = exec->plan->band().width;
   if (width <= exec->min_width) return;
 
   // A cut "helps" when the surrendered range would actually unblock
@@ -1259,7 +1243,6 @@ void CollectiveRuntime::on_step_end(const std::shared_ptr<Execution>& exec) {
 }
 
 void CollectiveRuntime::apply_retimings(ExecutionSubstrate& substrate) {
-  if (!substrate.caps().retimes_steps) return;
   for (const StepRetiming& retiming : substrate.take_retimings()) {
     for (const std::shared_ptr<Execution>& exec : running_execs_) {
       if (exec->plan.get() != retiming.exec) continue;

@@ -38,14 +38,14 @@
 // fuse, and every execution's schedule is proven correct with the coll::
 // oracle before it touches its fabric.
 //
-// Step-boundary renegotiation: on substrates whose caps() allow it, the
-// runtime may PREEMPT an execution at a step boundary (suspend it,
-// surrender its whole grant to a higher-priority waiter under
-// FairnessPolicy::kPriorityPreempt, resume it later on whatever grant it
-// regains) or RESIZE it (grow into freed neighboring spectrum, or shrink
-// toward the job's floor when queued tenants starve).  Every path rebuilds
-// the execution's remaining schedule through the substrate and every
-// rebuilt remainder is re-proven with the oracle — composed with the
+// Step-boundary renegotiation: the runtime may PREEMPT an execution at a
+// step boundary (suspend it, surrender its whole grant to a higher-priority
+// waiter under FairnessPolicy::kPriorityPreempt, resume it later on
+// whatever grant it regains) on either substrate, or RESIZE an execution
+// holding a wavelength band (grow into freed neighboring spectrum, or
+// shrink toward the job's floor when queued tenants starve).  Every path
+// rebuilds the execution's remaining schedule through the substrate and
+// every rebuilt remainder is re-proven with the oracle — composed with the
 // functional steps already executed — before it touches the fabric.
 //
 // Policy here, mechanism in the substrates: the runtime runs ONE
@@ -119,8 +119,6 @@ enum class RoutingCostModel : std::uint8_t {
   kCongestionAware,
 };
 
-[[nodiscard]] const char* routing_cost_model_name(RoutingCostModel model);
-
 struct RuntimeConfig {
   /// Nodes on the shared ring.
   std::uint32_t ring_size = 64;
@@ -138,7 +136,7 @@ struct RuntimeConfig {
   /// per node it can observe (the participants and every transfer's
   /// endpoints, never the idle rest of the ring), so its cost scales with
   /// the job's participants, this length, and the schedule's transfers.
-  std::size_t oracle_payload_len = 48;
+  static constexpr std::size_t oracle_payload_len = 48;
   /// Step-boundary elastic resize: grow a running execution's band into
   /// adjacent freed spectrum when that shortens its remaining schedule, and
   /// shrink a band toward its jobs' floor when the shrink would unblock a
@@ -457,11 +455,15 @@ class CollectiveRuntime {
   RuntimeReport drive(JobSource* source);
   void on_arrival(JobId id);
   void try_admit();
-  /// Shared placement tail: pop the queue entry at `queue_index` (plus its
-  /// fusable peers when the substrate batches), build the plan with `grant`
-  /// units on `substrate`, prove it, and dispatch its first step.
+  /// Shared placement tail: pop the queue entry at `queue_index` plus its
+  /// fusable peers, build the plan with `grant` units on `substrate`, prove
+  /// it, and dispatch its first step.  A fused peer executes inside the
+  /// lead's grant, so its min_wavelengths must fit `fuse_band_width`: the
+  /// granted band for an optical placement, nullopt for an electrical one
+  /// (host claims carry no band, so no peer floor applies).
   void place_execution(ExecutionSubstrate& substrate, std::size_t queue_index,
-                       std::uint32_t grant);
+                       std::uint32_t grant,
+                       std::optional<std::uint32_t> fuse_band_width);
   /// Count exec's jobs as running and dispatch its next step.
   void start(const std::shared_ptr<Execution>& exec);
   /// Hybrid placement: move one queued job onto the electrical fallback

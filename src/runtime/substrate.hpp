@@ -33,20 +33,23 @@
 //    positions out of service; wavelength faults degrade spectrum.
 //
 //  * the ELECTRICAL substrate — the alpha-beta/flow baseline fabric from
-//    src/elec.  Grants are exclusive claims on the participants' host
-//    access links in a star cluster (link-capacity grant model: with every
-//    flow crossing only its endpoints' access links, host exclusivity makes
-//    the per-execution quiet-network flow timing exact).  Schedules are the
-//    classic electrical collectives (chunked ring / recursive doubling,
-//    picked by the alpha-beta cost model); per-step timing is the BSP step
-//    makespan under max-min fair sharing, exactly elec::run_on_electrical's
-//    model, produced incrementally so electrical steps interleave with
-//    optical tenants on one clock.  Node and ToR faults take hosts down;
-//    hosts are fungible, so no participant is ever lost, and a ToR loss asks
-//    for migration to another fabric.
+//    src/elec.  Grants are exclusive claims on the participants' hosts,
+//    either on a star cluster (every flow crosses only its endpoints'
+//    access links, so host exclusivity makes the per-execution
+//    quiet-network flow timing exact) or on an oversubscribed two-level
+//    tree whose ToR uplinks all tenants share.  Schedules are the classic
+//    electrical collectives (chunked ring / recursive doubling, picked by
+//    the alpha-beta cost model); per-step timing is the BSP step makespan
+//    under max-min fair sharing, exactly elec::run_on_electrical's model,
+//    produced incrementally so electrical steps interleave with optical
+//    tenants on one clock.  Node and ToR faults take hosts down; hosts are
+//    fungible, so no participant is ever lost, and a ToR loss asks for
+//    migration to another fabric.
 //
-// A substrate declares what it can renegotiate through SubstrateCaps; the
-// runtime only exercises preemption/resize against substrates that opt in.
+// Both substrates preempt at step boundaries and fuse small jobs.  Only an
+// optical plan holds a wavelength band, so only it can grow or shrink, and
+// only its band width bounds the min_wavelengths of a fused peer; the
+// runtime reads both from the plan's band().
 #pragma once
 
 #include <cstdint>
@@ -70,34 +73,6 @@ class MetricsRegistry;
 
 namespace wrht::runtime {
 
-/// What a substrate lets the runtime renegotiate at step boundaries.
-struct SubstrateCaps {
-  /// Executions can suspend at a step boundary, surrender their grant, and
-  /// resume later on a rebuilt remainder.
-  bool preemptible = false;
-  /// Grants can grow/shrink mid-flight (elastic resize).
-  bool resizable = false;
-  /// Same-group small jobs may fuse into one execution here.
-  bool batchable = false;
-  /// Fused peers execute inside the lead's grant, so a peer's
-  /// min_wavelengths floor must hold against the granted width.  False when
-  /// grants are not wavelength-denominated (electrical host claims).
-  bool fuse_respects_grant = false;
-  /// Step completion times may move after time_step() returned, because
-  /// another tenant's flows changed the sharing of this substrate's fabric
-  /// (shared electrical uplinks).  The runtime must drain take_retimings()
-  /// after every time_step() and re-schedule the affected step-completion
-  /// events on the sim clock.
-  bool retimes_steps = false;
-  /// A kResume renegotiation may re-place a suspended execution on a
-  /// DIFFERENT resource set than it held before (electrical hosts are
-  /// fungible: any free host set of the right size carries the remainder
-  /// after a schedule remap).  False for substrates whose resume merely
-  /// re-acquires the same kind of grant (an optical band is positionless
-  /// spectrum either way).
-  bool remaps_on_resume = false;
-};
-
 /// Per-execution state owned by a substrate: the schedule still ahead and
 /// the resources backing it.  The runtime folds executed steps into its own
 /// composite-oracle checkpoint; the plan always describes only the work
@@ -109,13 +84,13 @@ class SubstrateExecution {
 
   /// Schedule for the steps still ahead.
   [[nodiscard]] virtual const coll::Schedule& schedule() const = 0;
-  [[nodiscard]] virtual std::size_t num_steps() const = 0;
+  [[nodiscard]] std::size_t num_steps() const {
+    return schedule().num_steps();
+  }
   /// Spectrum band backing this plan.  Off-spectrum substrates return the
-  /// invalid {0, 0} band; JobRecord keeps it as "no band held".
+  /// invalid {0, 0} band; JobRecord keeps it as "no band held".  Only a
+  /// plan holding a valid band can grow or shrink.
   [[nodiscard]] virtual WavelengthBand band() const = 0;
-  /// Current grant in the substrate's capacity units (wavelengths for
-  /// optical, host-link claims for electrical).
-  [[nodiscard]] virtual std::uint32_t grant() const = 0;
   /// Physical hosts backing this plan, in participant-rank order (hosts[i]
   /// carries participants[i]'s data).  Empty for substrates whose grants
   /// are not host-denominated (optical bands).  After a remapped resume
@@ -126,9 +101,9 @@ class SubstrateExecution {
 /// Timing of one executed step on the shared clock.
 struct StepTiming {
   /// Absolute completion time of the step, including the substrate's
-  /// inter-step barrier.  On a retiming substrate this is the prediction
-  /// under the sharing in force right now; later arrivals may move it
-  /// (surfaced through take_retimings).
+  /// inter-step barrier.  On a shared fabric this is the prediction under
+  /// the sharing in force right now; later arrivals may move it (surfaced
+  /// through take_retimings).
   util::Seconds end{0.0};
   std::uint64_t retunes = 0;
   /// (arc, wavelength) cells claimed on the shared spectrum map (0 for
@@ -222,9 +197,6 @@ struct RenegotiationRequest {
   }
 };
 
-[[nodiscard]] const char* renegotiation_kind_name(
-    RenegotiationRequest::Kind kind);
-
 /// A running execution offered to a substrate as a preemption victim.  The
 /// runtime fills in the policy (priority, who the waiter outranks); the
 /// substrate decides what surrendering would free.
@@ -291,8 +263,6 @@ class ExecutionSubstrate {
   virtual ~ExecutionSubstrate() = default;
 
   [[nodiscard]] virtual SubstrateKind kind() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual const SubstrateCaps& caps() const = 0;
 
   /// Capacity view the admission policies reason over, in grant units.
   [[nodiscard]] virtual std::uint32_t largest_free_grant() const = 0;
@@ -326,9 +296,12 @@ class ExecutionSubstrate {
   /// the execution's last flows out of the shared fabric.
   virtual void release(SubstrateExecution& exec, util::Seconds now) = 0;
 
-  /// Step-completion corrections accumulated since the last drain (see
-  /// SubstrateCaps::retimes_steps).  Ownership of the entries passes to the
-  /// caller; for an execution appearing twice, the later entry supersedes.
+  /// Step-completion corrections accumulated since the last drain: on a
+  /// shared fabric another tenant's flows can move a step's end after
+  /// time_step() returned, and the runtime drains this after every
+  /// time_step() to re-schedule the affected step-completion events.
+  /// Ownership of the entries passes to the caller; for an execution
+  /// appearing twice, the later entry supersedes.
   [[nodiscard]] virtual std::vector<StepRetiming> take_retimings() {
     return {};
   }
@@ -336,13 +309,6 @@ class ExecutionSubstrate {
   /// Peak utilization (fraction of capacity, in [0,1]) per fabric link over
   /// the run so far.  Empty for substrates without per-link accounting.
   [[nodiscard]] virtual std::vector<double> link_peak_utilization() const {
-    return {};
-  }
-
-  /// CURRENT per-link utilization — the instantaneous counterpart of
-  /// link_peak_utilization, as of the fabric's last rate recomputation.
-  /// Empty for substrates without per-link accounting.
-  [[nodiscard]] virtual std::vector<double> link_utilization() const {
     return {};
   }
 
@@ -385,18 +351,18 @@ class ExecutionSubstrate {
   /// substrate knows about its current state — the live residual bandwidth
   /// of shared fabric links (electrical), or the expected wait for a free
   /// spectrum band (optical).  On an idle substrate this equals
-  /// now + predict_makespan, which is also the default for substrates with
-  /// no congestion signal to fold in.
+  /// now + predict_makespan.
   [[nodiscard]] virtual util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
-      std::uint32_t grant, util::Seconds now) const;
+      std::uint32_t grant, util::Seconds now) const = 0;
 
-  /// THE step-boundary renegotiation entry point (meaningful only when
-  /// caps() opt in; the default refuses every kind).  `current` is the plan
-  /// being renegotiated — null allowed only for kRestart, which reads
-  /// nothing from it.  See RenegotiationRequest for per-kind semantics.
+  /// THE step-boundary renegotiation entry point.  A substrate refuses the
+  /// kinds its grants do not support (an electrical host claim cannot grow
+  /// or shrink).  `current` is the plan being renegotiated — null allowed
+  /// only for kRestart, which reads nothing from it.  See
+  /// RenegotiationRequest for per-kind semantics.
   [[nodiscard]] virtual RenegotiationOutcome renegotiate(
-      SubstrateExecution* current, const RenegotiationRequest& request);
+      SubstrateExecution* current, const RenegotiationRequest& request) = 0;
 
   /// What-if probe: largest free grant if `exec` kept only `keep` units of
   /// its current grant (the shrink-under-pressure decision signal).
@@ -467,7 +433,7 @@ enum class ElectricalFabric : std::uint8_t {
   /// FlowNetwork for the whole fabric: concurrent executions' flows share
   /// the ToR uplinks under max-min fairness, so a step's completion time
   /// depends on what other tenants are sending — and moves when they start
-  /// or stop (SubstrateCaps::retimes_steps).
+  /// or stop (take_retimings).
   kTwoLevelShared,
 };
 

@@ -37,17 +37,16 @@
 //    currently claimed.  This is what the flow timers route.
 //
 // At first placement the two coincide (hosts are claimed 1:1 at the
-// participants' ring positions).  They diverge at a REMAPPED RESUME: BSP
-// step boundaries are preemption points (SubstrateCaps::preemptible), a
-// suspended execution surrenders its hosts, and a kResume renegotiation
-// re-places the remainder on whatever host set is free then — the original
-// positions when available, else any free hosts, carried over by the same
-// schedule remap placement uses.  Host fungibility is also the fault story:
-// the substrate keeps its own host-down refcounts (node and ToR faults), a
-// dead host is quarantined the moment it is free, and the resume simply
-// remaps around it, so electrical node faults cost a suspension, never
-// data.  A ToR loss additionally asks the runtime to migrate the execution
-// to another fabric.  The shared fabric's whole-horizon replay oracle
+// participants' ring positions).  They diverge at a REMAPPED RESUME: BSP step
+// boundaries are preemption points, a suspended execution surrenders its hosts,
+// and a kResume renegotiation re-places the remainder on whatever host set is
+// free then — the original positions when available, else any free hosts,
+// carried over by the same schedule remap placement uses.  Host fungibility is
+// also the fault story: the substrate keeps its own host-down refcounts (node
+// and ToR faults), a dead host is quarantined the moment it is free, and the
+// resume simply remaps around it, so electrical node faults cost a suspension,
+// never data.  A ToR loss additionally asks the runtime to migrate the
+// execution to another fabric.  The shared fabric's whole-horizon replay oracle
 // covers remapped resumes for free: it replays the logged physical routes,
 // which are exactly what the remapped remainder injected.
 //
@@ -113,15 +112,9 @@ class ElectricalExecution final : public SubstrateExecution {
   [[nodiscard]] const coll::Schedule& schedule() const override {
     return functional_;
   }
-  [[nodiscard]] std::size_t num_steps() const override {
-    return functional_.num_steps();
-  }
   /// Electrical grants are host links, not spectrum; the invalid band tells
   /// records/traces "no band held".
   [[nodiscard]] WavelengthBand band() const override { return {}; }
-  [[nodiscard]] std::uint32_t grant() const override {
-    return holds_hosts ? static_cast<std::uint32_t>(hosts_.size()) : 0;
-  }
   [[nodiscard]] std::vector<topo::NodeId> hosts() const override {
     return hosts_;
   }
@@ -181,32 +174,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
 
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kElectrical;
-  }
-  [[nodiscard]] const char* name() const override { return "electrical"; }
-  [[nodiscard]] const SubstrateCaps& caps() const override {
-    // BSP step boundaries are preemption points: between two steps no flow
-    // of this execution is in flight, so the host claims can be surrendered
-    // whole and the remainder re-placed later — on different hosts if the
-    // original ones are taken (remaps_on_resume).  Resize stays off: the
-    // grant is exactly one host per participant, so there is no wider or
-    // narrower grant to rebuild toward.  Batching applies (per-step alpha
-    // dominates small jobs here too), and a fused peer rides host links,
-    // not a wavelength band, so no grant-width floor constrains fusion.  On
-    // the shared two-level fabric step completions move with other tenants'
-    // traffic, so the runtime must expect retimings there.
-    static constexpr SubstrateCaps kStarCaps{/*preemptible=*/true,
-                                             /*resizable=*/false,
-                                             /*batchable=*/true,
-                                             /*fuse_respects_grant=*/false,
-                                             /*retimes_steps=*/false,
-                                             /*remaps_on_resume=*/true};
-    static constexpr SubstrateCaps kSharedCaps{/*preemptible=*/true,
-                                               /*resizable=*/false,
-                                               /*batchable=*/true,
-                                               /*fuse_respects_grant=*/false,
-                                               /*retimes_steps=*/true,
-                                               /*remaps_on_resume=*/true};
-    return shared_ ? kSharedCaps : kStarCaps;
   }
 
   [[nodiscard]] std::uint32_t largest_free_grant() const override {
@@ -309,8 +276,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       case RenegotiationRequest::Kind::kGrow:
       case RenegotiationRequest::Kind::kShrink:
       case RenegotiationRequest::Kind::kEvict:
-        // Grants are exactly one host per participant (resizable is off),
-        // and an evicted participant's partial sums live in its host's
+        // Grants are exactly one host per participant, so there is no wider
+        // or narrower grant to rebuild toward, and an evicted participant's partial sums live in its host's
         // memory — there is no narrower remainder to rebuild in place.  The
         // runtime falls back to kRestart among the survivors.
         return {};
@@ -381,8 +348,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       if (!cheapest) return {};
       return {*cheapest};
     }
-    // A suspended waiter resumes on any free host set of its size
-    // (remaps_on_resume), so free hosts anywhere count: accumulate
+    // A suspended waiter resumes on any free host set of its size (a
+    // remapped resume), so free hosts anywhere count: accumulate
     // surrendered host sets, largest first so one victim usually suffices.
     const std::size_t need = waiter.participants->size();
     std::size_t pending = free_grant_total();
@@ -468,10 +435,6 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] std::vector<double> link_peak_utilization() const override {
     return shared_ ? shared_->link_peak_utilization()
                    : std::vector<double>{};
-  }
-
-  [[nodiscard]] std::vector<double> link_utilization() const override {
-    return shared_ ? shared_->link_utilization() : std::vector<double>{};
   }
 
   void attach_metrics(obs::MetricsRegistry& registry) override {

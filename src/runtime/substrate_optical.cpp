@@ -39,11 +39,7 @@ class OpticalExecution final : public SubstrateExecution {
   [[nodiscard]] const coll::Schedule& schedule() const override {
     return build.annotated.schedule;
   }
-  [[nodiscard]] std::size_t num_steps() const override {
-    return timed_steps.size();
-  }
   [[nodiscard]] WavelengthBand band() const override { return band_; }
-  [[nodiscard]] std::uint32_t grant() const override { return band_.width; }
 
   core::WrhtBuild build;
   WavelengthBand band_;
@@ -82,14 +78,6 @@ class OpticalSubstrate final : public ExecutionSubstrate {
 
   [[nodiscard]] SubstrateKind kind() const override {
     return SubstrateKind::kOptical;
-  }
-  [[nodiscard]] const char* name() const override { return "optical"; }
-  [[nodiscard]] const SubstrateCaps& caps() const override {
-    static constexpr SubstrateCaps kCaps{/*preemptible=*/true,
-                                         /*resizable=*/true,
-                                         /*batchable=*/true,
-                                         /*fuse_respects_grant=*/true};
-    return kCaps;
   }
 
   void attach_metrics(obs::MetricsRegistry& registry) override {
@@ -302,7 +290,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     std::vector<std::size_t> victims;
     for (std::size_t i = 0; i < running.size(); ++i) {
       if (running[i].surrendering) {
-        pending += running[i].plan->grant();
+        pending += running[i].plan->band().width;
       } else if (running[i].outranked) {
         victims.push_back(i);
       }
@@ -315,14 +303,14 @@ class OpticalSubstrate final : public ExecutionSubstrate {
                 const PreemptionCandidate& x = running[a];
                 const PreemptionCandidate& y = running[b];
                 if (x.priority != y.priority) return x.priority < y.priority;
-                if (x.plan->grant() != y.plan->grant()) {
-                  return x.plan->grant() > y.plan->grant();
+                if (x.plan->band().width != y.plan->band().width) {
+                  return x.plan->band().width > y.plan->band().width;
                 }
                 return x.lead < y.lead;
               });
     std::size_t taken = 0;
     while (taken < victims.size() && pending < waiter.min_grant) {
-      pending += running[victims[taken++]].plan->grant();
+      pending += running[victims[taken++]].plan->band().width;
     }
     victims.resize(taken);
     return victims;

