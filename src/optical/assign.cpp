@@ -36,7 +36,10 @@ AssignmentResult assign_in_order(const topo::RingTopology& ring,
                                  FitPolicy policy) {
   AssignmentResult result;
   result.lambda.assign(arcs.size(), 0);
-  SpectrumMap spectrum(ring, std::max(1u, max_wavelengths));
+  // Per-thread scratch map, re-targeted per call so a warm assignment does
+  // not allocate.
+  thread_local SpectrumMap spectrum(ring.num_spans(), 1);
+  spectrum.reset(ring.num_spans(), std::max(1u, max_wavelengths));
   for (const std::size_t i : order) {
     const std::optional<WavelengthId> lambda =
         pick(spectrum, arcs[i], policy);

@@ -3,6 +3,14 @@
 // A transfer claims one wavelength on every span of its arc; the map rejects
 // double-booking, which is exactly the wavelength-conflict rule of a WDM
 // ring without wavelength conversion.
+//
+// Word layout: one span bitset per (direction, wavelength), stored as
+// ceil(num_spans / 64) uint64_t words, rows ordered [direction][lambda];
+// span s is bit s % 64 of word s / 64.  An arc is one contiguous, possibly
+// wrapping, run of spans, so it covers at most two masked word runs of a
+// row: checking a wavelength along an arc is one AND per word touched,
+// claiming it one OR, releasing it one AND-NOT.  Bits at or above num_spans
+// in a row's last word are never set.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +26,13 @@ using WavelengthId = std::uint32_t;
 class SpectrumMap {
  public:
   SpectrumMap(const topo::RingTopology& ring, std::uint32_t num_wavelengths);
+  SpectrumMap(std::uint32_t num_spans, std::uint32_t num_wavelengths);
 
+  /// Re-target to a ring of `num_spans` spans and `num_wavelengths`
+  /// wavelengths, everything free; reuses the storage (scratch maps).
+  void reset(std::uint32_t num_spans, std::uint32_t num_wavelengths);
+
+  [[nodiscard]] std::uint32_t num_spans() const { return num_spans_; }
   [[nodiscard]] std::uint32_t num_wavelengths() const {
     return num_wavelengths_;
   }
@@ -55,13 +69,15 @@ class SpectrumMap {
   void clear();
 
  private:
-  [[nodiscard]] std::size_t cell(topo::Direction dir, topo::SpanId span,
-                                 WavelengthId lambda) const;
+  /// Offset of the (dir, lambda) span bitset in words_.
+  [[nodiscard]] std::size_t row(topo::Direction dir,
+                                WavelengthId lambda) const;
 
-  const topo::RingTopology* ring_;
-  std::uint32_t num_wavelengths_;
-  std::vector<bool> occupied_;          // [dir][span][lambda]
-  std::vector<std::uint32_t> usage_;    // per lambda, both directions
+  std::uint32_t num_spans_ = 0;
+  std::uint32_t num_wavelengths_ = 0;
+  std::uint32_t words_per_row_ = 0;
+  std::vector<std::uint64_t> words_;  // [dir][lambda][span word]
+  std::vector<std::uint32_t> usage_;  // per lambda, both directions
 };
 
 }  // namespace wrht::optical

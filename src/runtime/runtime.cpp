@@ -547,6 +547,11 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   }
   const coll::Schedule& proven =
       composite ? *composite : exec.plan->schedule();
+  // Every chunk needs at least one element of the row: a k-chunk ring
+  // schedule over more than oracle_payload_len participants proves on a
+  // k-long row.
+  const std::size_t payload_len = std::max<std::size_t>(
+      config_.oracle_payload_len, proven.num_chunks());
   // Faults change the delivery contract, not the sum: once nodes were
   // evicted mid-flight, every ORIGINAL participant contributed but only
   // the survivors must end holding the total (the evicted nodes' hardware
@@ -554,10 +559,9 @@ void CollectiveRuntime::verify_composite_or_die(const Execution& exec) {
   const coll::OracleResult verdict =
       exec.recipients.size() == exec.participants.size()
           ? coll::Oracle::verify_allreduce_among(proven, exec.participants,
-                                                 config_.oracle_payload_len)
+                                                 payload_len)
           : coll::Oracle::verify_allreduce_among(
-                proven, exec.participants, exec.recipients,
-                config_.oracle_payload_len);
+                proven, exec.participants, exec.recipients, payload_len);
   if (!verdict.ok) ++report_.oracle_failures;
   // A schedule that fails the oracle must never touch its fabric; like a
   // wavelength conflict, this is a library bug, not a tenant error.

@@ -12,19 +12,22 @@ namespace {
 struct StepAssembly {
   std::vector<coll::Transfer> transfers;
   std::vector<topo::Arc> arcs;
+  /// The step's wavelengths, set by color_step.
+  optical::AssignmentResult assignment;
 };
 
-// Assign wavelengths for one assembled step and append it to the schedule.
-// Returns false (leaving the schedule untouched) when the step does not
-// color within `max_wavelengths`.
-bool try_commit_step(AnnotatedSchedule& annotated,
-                     const topo::RingTopology& ring, StepAssembly step,
-                     std::uint32_t max_wavelengths,
-                     optical::FitPolicy policy) {
-  const optical::AssignmentResult assignment =
-      optical::assign_wavelengths_longest_first(ring, step.arcs,
-                                                max_wavelengths, policy);
-  if (!assignment.ok) return false;
+// Color the step's arcs longest-first; false when they do not fit within
+// `max_wavelengths`.
+bool color_step(StepAssembly& step, const topo::RingTopology& ring,
+                std::uint32_t max_wavelengths, optical::FitPolicy policy) {
+  step.assignment = optical::assign_wavelengths_longest_first(
+      ring, step.arcs, max_wavelengths, policy);
+  return step.assignment.ok;
+}
+
+// Append a colored step to the schedule.
+void append_step(AnnotatedSchedule& annotated, const StepAssembly& step) {
+  const optical::AssignmentResult& assignment = step.assignment;
   annotated.schedule.add_step();
   std::vector<PathAssignment> paths;
   paths.reserve(step.arcs.size());
@@ -36,18 +39,17 @@ bool try_commit_step(AnnotatedSchedule& annotated,
   annotated.lambda_per_step.push_back(assignment.wavelengths_used);
   annotated.wavelengths_required =
       std::max(annotated.wavelengths_required, assignment.wavelengths_used);
-  return true;
 }
 
 // Aborting flavor for steps the builder has already proven feasible.
 void commit_step(AnnotatedSchedule& annotated, const topo::RingTopology& ring,
                  StepAssembly step, std::uint32_t max_wavelengths,
                  optical::FitPolicy policy) {
-  const std::size_t arcs = step.arcs.size();
-  WRHT_CHECK(try_commit_step(annotated, ring, std::move(step), max_wavelengths,
-                             policy),
+  WRHT_CHECK(color_step(step, ring, max_wavelengths, policy),
              "build_wrht: feasible step failed wavelength assignment ("
-                 << arcs << " arcs, " << max_wavelengths << " wavelengths)");
+                 << step.arcs.size() << " arcs, " << max_wavelengths
+                 << " wavelengths)");
+  append_step(annotated, step);
 }
 
 // The mirrored broadcast step of one tree level: the representative copies
@@ -68,8 +70,8 @@ StepAssembly broadcast_step_for_level(const topo::RingTopology& ring,
 }
 
 // Assemble the all-to-all exchange among `active` nodes (direction-balanced
-// routing, per the Liang & Shen bound) and test whether it colors within
-// `max_wavelengths`.
+// routing, per the Liang & Shen bound) and color it; nullopt when it does
+// not fit within `max_wavelengths`.
 std::optional<StepAssembly> try_all_to_all(const topo::RingTopology& ring,
                                            const std::vector<topo::NodeId>& active,
                                            std::uint32_t max_wavelengths,
@@ -83,10 +85,7 @@ std::optional<StepAssembly> try_all_to_all(const topo::RingTopology& ring,
     }
   }
   step.arcs = optical::balanced_all_to_all_arcs(ring, active);
-  const optical::AssignmentResult probe =
-      optical::assign_wavelengths_longest_first(ring, step.arcs,
-                                                max_wavelengths, policy);
-  if (!probe.ok) return std::nullopt;
+  if (!color_step(step, ring, max_wavelengths, policy)) return std::nullopt;
   return step;
 }
 
@@ -191,8 +190,7 @@ WrhtBuild build_wrht_among(const std::vector<topo::NodeId>& participants,
       if (merge.has_value()) {
         build.final_rep_count_mstar =
             static_cast<std::uint32_t>(active.size());
-        commit_step(build.annotated, ring, std::move(*merge),
-                    params.num_wavelengths, params.fit_policy);
+        append_step(build.annotated, *merge);
         build.merged_with_all_to_all = true;
         break;
       }
@@ -345,11 +343,11 @@ std::optional<WrhtBuild> rebuild_wrht_remainder_evicting(
       if (group.size() > 1) has_transfers = true;
     }
     if (!has_transfers) continue;  // every recipient of this mirror is gone
-    if (!try_commit_step(out.annotated, ring,
-                         broadcast_step_for_level(ring, kept),
-                         params.num_wavelengths, params.fit_policy)) {
+    StepAssembly mirror = broadcast_step_for_level(ring, kept);
+    if (!color_step(mirror, ring, params.num_wavelengths, params.fit_policy)) {
       return std::nullopt;
     }
+    append_step(out.annotated, mirror);
     out.broadcast_levels.push_back(std::move(kept));
   }
   return out;

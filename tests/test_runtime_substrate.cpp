@@ -570,5 +570,38 @@ TEST(Substrate, MaxConcurrentCapsElectricalPlacements) {
   EXPECT_TRUE(sub->can_place({4, 5}, 1));
 }
 
+TEST(ParticipantCounts, EveryJobSizeCompletesOnEverySubstrate) {
+  // A k-participant electrical job runs a k-chunk ring all-reduce, so for
+  // k above the oracle's default row length (48) the proof row must grow
+  // with the chunk count; 49..63 used to abort the process.  Every size on
+  // a 64-node ring, on both substrates and both electrical fabrics.
+  for (const ElectricalFabric fabric :
+       {ElectricalFabric::kStarExclusive, ElectricalFabric::kTwoLevelShared}) {
+    for (const SubstratePin pin :
+         {SubstratePin::kElectricalOnly, SubstratePin::kOpticalOnly}) {
+      for (std::uint32_t k = 2; k <= 64; ++k) {
+        RuntimeConfig config =
+            hybrid_config(HybridPlacementPolicy::kElectricalOverflow);
+        config.ring_size = 64;
+        config.optical.wdm.num_wavelengths = 64;
+        config.electrical.fabric = fabric;
+        config.electrical.oversubscription = 4.0;
+        CollectiveRuntime rt(config);
+        JobSpec spec = span_job(0, k, util::mebibytes(1));
+        spec.pin = pin;
+        const JobId id = rt.submit(spec);
+        const RuntimeReport report = rt.run();
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        EXPECT_EQ(report.completed, 1u);
+        EXPECT_TRUE(rt.record(id).oracle_ok);
+        EXPECT_EQ(rt.record(id).substrate,
+                  pin == SubstratePin::kElectricalOnly
+                      ? SubstrateKind::kElectrical
+                      : SubstrateKind::kOptical);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wrht::runtime

@@ -11,6 +11,7 @@
 #include "coll/executor.hpp"
 #include "coll/validation.hpp"
 #include "util/math.hpp"
+#include "util/random.hpp"
 
 namespace wrht::core {
 namespace {
@@ -228,6 +229,114 @@ TEST(WrhtBuilder, BroadcastMirrorsReduceTopology) {
       EXPECT_TRUE(mirrored);
     }
   }
+}
+
+// FNV-1a over 64-bit words: a compact fingerprint of builder decisions.
+class Fnv {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+void hash_build(Fnv& fnv, const WrhtBuild& build) {
+  const AnnotatedSchedule& annotated = build.annotated;
+  fnv.add(annotated.schedule.num_steps());
+  for (std::size_t s = 0; s < annotated.schedule.num_steps(); ++s) {
+    const auto& transfers = annotated.schedule.steps()[s].transfers;
+    fnv.add(transfers.size());
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      const PathAssignment& path = annotated.paths[s][i];
+      fnv.add(transfers[i].src);
+      fnv.add(transfers[i].dst);
+      fnv.add(static_cast<std::uint64_t>(path.arc.direction));
+      fnv.add(path.arc.first);
+      fnv.add(path.arc.length);
+      fnv.add(path.lambdas.size());
+      for (const optical::WavelengthId lambda : path.lambdas) fnv.add(lambda);
+    }
+  }
+  fnv.add(annotated.lambda_per_step.size());
+  for (const std::uint32_t used : annotated.lambda_per_step) fnv.add(used);
+  fnv.add(annotated.wavelengths_required);
+  fnv.add(build.group_size_m);
+  fnv.add(build.final_rep_count_mstar);
+  fnv.add(build.merged_with_all_to_all ? 1 : 0);
+}
+
+// Pins the builder's routing and wavelength decisions (fresh builds and
+// fault-evicting remainder rebuilds) over a seeded corpus of participant
+// sets, independently of the runtime.  Any change to First/Best Fit, the
+// spectrum map, or the step assembly that moves one wavelength moves this
+// hash.
+TEST(WrhtBuilderGolden, DecisionsMatchRecordedHash) {
+  util::Rng rng(0x57A7E5EED);
+  Fnv fnv;
+  std::size_t rebuilt = 0;
+  std::size_t refused = 0;
+  const std::uint32_t wavelengths[] = {1, 2, 8, 64};
+  for (const std::uint32_t ring_size : {8u, 13u, 32u, 63u, 64u, 65u, 128u,
+                                        200u, 512u, 1024u}) {
+    for (const std::uint32_t w : wavelengths) {
+      for (const optical::FitPolicy policy :
+           {optical::FitPolicy::kFirstFit, optical::FitPolicy::kBestFit}) {
+        const int trials = ring_size >= 512 ? 3 : 8;
+        for (int trial = 0; trial < trials; ++trial) {
+          // A uniformly sized random subset (Floyd's algorithm), ascending.
+          const auto k =
+              static_cast<std::uint32_t>(2 + rng.next_below(ring_size - 1));
+          std::vector<bool> chosen(ring_size, false);
+          for (std::uint32_t j = ring_size - k; j < ring_size; ++j) {
+            const auto t = static_cast<std::uint32_t>(rng.next_below(j + 1));
+            chosen[chosen[t] ? j : t] = true;
+          }
+          std::vector<topo::NodeId> participants;
+          for (std::uint32_t node = 0; node < ring_size; ++node) {
+            if (chosen[node]) participants.push_back(node);
+          }
+
+          WrhtParams params = params_with(w);
+          params.fit_policy = policy;
+          const WrhtBuild build =
+              build_wrht_among(participants, ring_size, params);
+          hash_build(fnv, build);
+
+          const std::size_t steps_done =
+              rng.next_below(build.annotated.schedule.num_steps());
+          std::vector<topo::NodeId> evicted;
+          const std::uint64_t num_evicted = rng.next_below(3);
+          for (std::uint64_t e = 0; e < num_evicted; ++e) {
+            evicted.push_back(
+                participants[rng.next_below(participants.size())]);
+          }
+          WrhtParams rebuild_params =
+              params_with(wavelengths[rng.next_below(4)]);
+          rebuild_params.fit_policy = policy;
+          const std::optional<WrhtBuild> rest =
+              rebuild_wrht_remainder_evicting(build, steps_done, evicted,
+                                              ring_size, rebuild_params);
+          fnv.add(rest.has_value() ? 1 : 0);
+          if (rest.has_value()) {
+            hash_build(fnv, *rest);
+            ++rebuilt;
+          } else {
+            ++refused;
+          }
+        }
+      }
+    }
+  }
+  // The corpus reaches both rebuild outcomes.
+  EXPECT_GT(rebuilt, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_EQ(fnv.value(), 0xB5EE714851E914DEULL);
 }
 
 }  // namespace
