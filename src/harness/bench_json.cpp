@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "obs/json.hpp"
+
 namespace wrht::harness {
 
 namespace {
@@ -18,37 +20,6 @@ std::string sanitize_name(std::string name) {
     if (!ok) c = '_';
   }
   return name;
-}
-
-std::string escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string number(double value) {
@@ -85,12 +56,13 @@ void BenchJson::note(const std::string& key, std::string value) {
 }
 
 std::string BenchJson::to_json() const {
-  std::string out = "{\n  \"bench\": \"" + escape(name_) + "\"";
+  using obs::json_escape;
+  std::string out = "{\n  \"bench\": \"" + json_escape(name_) + "\"";
   for (const auto& [key, value] : notes_) {
-    out += ",\n  \"" + escape(key) + "\": \"" + escape(value) + "\"";
+    out += ",\n  \"" + json_escape(key) + "\": \"" + json_escape(value) + "\"";
   }
   for (const auto& [key, value] : metrics_) {
-    out += ",\n  \"" + escape(key) + "\": " + number(value);
+    out += ",\n  \"" + json_escape(key) + "\": " + number(value);
   }
   out += "\n}\n";
   return out;

@@ -12,24 +12,18 @@ OpticalRingNetwork::OpticalRingNetwork(std::uint32_t num_nodes,
       spectrum_(ring_, params.wdm.num_wavelengths),
       transceivers_(num_nodes) {}
 
-util::Seconds transfer_cost(const OpticalParams& params,
-                            const TimedTransfer& transfer, bool retuned) {
+util::Seconds transfer_cost(const OpticalParams& params, const topo::Arc& arc,
+                            std::size_t stripes, util::Bytes bytes,
+                            bool retuned) {
   util::Seconds duration{0.0};
   if (retuned) {
     duration += params.tune_time + params.transceiver_time;
   }
-  duration +=
-      params.propagation_per_hop * static_cast<double>(transfer.arc.length);
-  const double stripes = static_cast<double>(transfer.lambdas.size());
+  duration += params.propagation_per_hop * static_cast<double>(arc.length);
   const util::Bandwidth effective =
-      params.wdm.wavelength_bandwidth * stripes;
-  duration += effective.transfer_time(transfer.bytes);
+      params.wdm.wavelength_bandwidth * static_cast<double>(stripes);
+  duration += effective.transfer_time(bytes);
   return duration;
-}
-
-util::Seconds OpticalRingNetwork::transfer_duration(const TimedTransfer& t,
-                                                    bool retuned) const {
-  return transfer_cost(params_, t, retuned);
 }
 
 StepResult OpticalRingNetwork::execute_step(
@@ -64,7 +58,8 @@ StepResult OpticalRingNetwork::execute_step(
     if (params_.retune_every_step) retuned = true;
     if (retuned) ++result.retunes;
 
-    const util::Seconds duration = transfer_duration(t, retuned);
+    const util::Seconds duration =
+        transfer_cost(params_, t.arc, t.lambdas.size(), t.bytes, retuned);
     const util::Seconds data_time =
         (params_.wdm.wavelength_bandwidth *
          static_cast<double>(t.lambdas.size()))

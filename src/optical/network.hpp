@@ -13,6 +13,7 @@
 // schedule with a wavelength conflict aborts instead of silently timing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,13 +50,15 @@ struct RunResult {
   std::uint64_t total_retunes = 0;
 };
 
-/// Wall time of one transfer under the paper's cost model: optional
-/// retune + transceiver lock, propagation along the arc, serialization at
-/// wavelength bandwidth times the stripe count.  Shared by the single-job
-/// DES below and the multi-tenant runtime so their timings cannot drift.
+/// Wall time of one transfer of `bytes` striped over `stripes` wavelengths
+/// on `arc`, under the paper's cost model: optional retune + transceiver
+/// lock, propagation along the arc, serialization at wavelength bandwidth
+/// times the stripe count.  Shared by the single-job DES below and the
+/// multi-tenant runtime so their timings cannot drift.
 [[nodiscard]] util::Seconds transfer_cost(const OpticalParams& params,
-                                          const TimedTransfer& transfer,
-                                          bool retuned);
+                                          const topo::Arc& arc,
+                                          std::size_t stripes,
+                                          util::Bytes bytes, bool retuned);
 
 class OpticalRingNetwork {
  public:
@@ -92,9 +95,6 @@ class OpticalRingNetwork {
   void reset();
 
  private:
-  [[nodiscard]] util::Seconds transfer_duration(const TimedTransfer& t,
-                                                bool retuned) const;
-
   topo::RingTopology ring_;
   OpticalParams params_;
   sim::Simulator simulator_;

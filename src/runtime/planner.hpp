@@ -45,15 +45,17 @@
 // earliest_fit() is the planner's availability function: the first instant
 // a CONTIGUOUS run of the needed width exists, found by merging outstanding
 // bands back into the free-interval structure in predicted-release order.
-// It replaces the contiguity-blind free-total credit walk the congestion-
-// aware router used to use — a fragmented pool whose total covers the
-// request no longer reads as "available now".
+// It is the congestion-aware router's band-wait forecast under BOTH
+// spectrum policies — the forecast does not depend on placement, and a
+// fragmented pool whose total covers the request does not read as
+// "available now".
 //
 // The planner only proposes; every placement still goes through
 // SpectrumArbiter::allocate_at (occupancy-checked) and the existing
 // disjointness/oracle machinery proves the result before it touches the
-// ring.  First-fit stays selectable (SpectrumPolicy::kFirstFit) as the
-// ablation baseline.
+// ring.  First-fit stays selectable (SpectrumPolicy::kFirstFit) as a
+// placement ablation only: it changes where bands go, not how the router
+// forecasts when one frees.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +70,8 @@ namespace wrht::runtime {
 
 /// How the optical substrate places bands.
 enum class SpectrumPolicy : std::uint8_t {
-  /// Lowest-based free run that fits (the historical greedy baseline).
+  /// Lowest-based free run that fits (the historical greedy baseline; a
+  /// placement ablation — completion forecasts still use earliest_fit).
   kFirstFit,
   /// SpectrumPlanner's joint placement (the default).
   kPlanner,

@@ -145,7 +145,7 @@ struct RuntimeConfig {
   /// Who places spectrum bands on the optical substrate: the global
   /// SpectrumPlanner (default — joint placement against queued + suspended
   /// demand and outstanding bands' predicted frees, see runtime/planner.hpp)
-  /// or the historical greedy first-fit, kept as the ablation baseline.
+  /// or the historical greedy first-fit, kept as a placement ablation.
   SpectrumPolicy spectrum_policy = SpectrumPolicy::kPlanner;
   /// Priority aging half-life for starvation control (0 = aging off, the
   /// historical behavior).  While a job waits — queued, or suspended after a

@@ -417,7 +417,9 @@ class ExecutionSubstrate {
 /// restores the original per-transfer/linear-scan behaviour (identical
 /// schedules and reports either way — it exists as a benchmark baseline).
 /// `spectrum_policy` picks who places bands: the SpectrumPlanner (default)
-/// or the historical greedy first-fit (ablation baseline).  Wavelengths are
+/// or the historical greedy first-fit (a placement ablation only:
+/// predict_completion forecasts the band wait with
+/// SpectrumPlanner::earliest_fit under either policy).  Wavelengths are
 /// colored first-fit.
 [[nodiscard]] std::unique_ptr<ExecutionSubstrate> make_optical_substrate(
     const topo::RingTopology& ring, const optical::OpticalParams& params,

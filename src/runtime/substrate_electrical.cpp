@@ -26,22 +26,23 @@
 //
 // Schedules are the classic electrical collectives the paper benchmarks
 // against: the chunked ring (bandwidth-optimal) or recursive doubling
-// (latency-optimal), picked per job by the alpha-beta cost model.  Every
-// execution keeps the schedule in TWO coordinate systems:
+// (latency-optimal), picked per job by the alpha-beta cost model and written
+// once onto the participants' ring ids.  Every execution holds ONE schedule,
+// remapped only when the hosts move:
 //
-//  * the FUNCTIONAL schedule — transfers among the participants' ring ids.
-//    This is what schedule() exposes and what the runtime's composite
-//    all-reduce oracle proves; it never changes across renegotiations, so
-//    an executed prefix and a rebuilt remainder always compose.
-//  * the PHYSICAL schedule — the same steps remapped onto the host set
-//    currently claimed.  This is what the flow timers route.
+//  * the schedule — transfers among the participants' ring ids.  This is
+//    what schedule() exposes, what the runtime's composite all-reduce oracle
+//    proves, and what the flow timers route while each participant sits on
+//    the host at its own ring position.  A resume keeps its tail, so an
+//    executed prefix and a rebuilt remainder always compose.
+//  * a physical copy — the same steps pushed through a participant→host map
+//    — exists only while the claimed hosts differ from the participants.
 //
-// At first placement the two coincide (hosts are claimed 1:1 at the
-// participants' ring positions).  They diverge at a REMAPPED RESUME: BSP step
-// boundaries are preemption points, a suspended execution surrenders its hosts,
-// and a kResume renegotiation re-places the remainder on whatever host set is
-// free then — the original positions when available, else any free hosts,
-// carried over by the same schedule remap placement uses.  Host fungibility is
+// The two differ only after a REMAPPED RESUME: BSP step boundaries are
+// preemption points, a suspended execution surrenders its hosts, and a
+// kResume renegotiation re-places the remainder on whatever host set is free
+// then — the original positions when available (no copy), else any free
+// hosts, carried over by the same remap placement uses.  Host fungibility is
 // also the fault story: the substrate keeps its own host-down refcounts (node
 // and ToR faults), a dead host is quarantined the moment it is free, and the
 // resume simply remaps around it, so electrical node faults cost a suspension,
@@ -70,15 +71,16 @@ namespace wrht::runtime {
 
 namespace {
 
-/// Rewrite a compact-rank schedule (nodes 0..k-1) onto the participants'
-/// host ids inside a `num_hosts`-wide id space.  Chunk structure is
-/// untouched, so payload splitting and functional semantics carry over.
-coll::Schedule remap_onto_hosts(const coll::Schedule& compact,
+/// Rewrite `schedule` through `hosts` (node n moves to hosts[n]) inside a
+/// `num_hosts`-wide id space: compact ranks 0..k-1 onto the participants at
+/// placement, participants onto their claimed hosts after a remapped resume.
+/// Chunk structure is untouched, so payload splitting and functional
+/// semantics carry over.
+coll::Schedule remap_onto_hosts(const coll::Schedule& schedule,
                                 const std::vector<topo::NodeId>& hosts,
                                 std::uint32_t num_hosts) {
-  coll::Schedule mapped(compact.name() + "-on-hosts", num_hosts,
-                        compact.num_chunks());
-  for (const coll::Step& step : compact.steps()) {
+  coll::Schedule mapped(schedule.name(), num_hosts, schedule.num_chunks());
+  for (const coll::Step& step : schedule.steps()) {
     mapped.add_step();
     for (const coll::Transfer& t : step.transfers) {
       coll::Transfer placed = t;
@@ -90,14 +92,14 @@ coll::Schedule remap_onto_hosts(const coll::Schedule& compact,
   return mapped;
 }
 
-/// The compact-rank steps still ahead after `steps_done` executed ones —
-/// the electrical remainder rebuild (no level restructuring to do: a BSP
-/// flow schedule's remainder is literally its tail).
-coll::Schedule schedule_tail(const coll::Schedule& compact,
+/// The steps still ahead after `steps_done` executed ones — the electrical
+/// remainder rebuild (no level restructuring to do: a BSP flow schedule's
+/// remainder is literally its tail).
+coll::Schedule schedule_tail(const coll::Schedule& schedule,
                              std::size_t steps_done) {
-  coll::Schedule tail(compact.name(), compact.num_nodes(),
-                      compact.num_chunks());
-  const std::vector<coll::Step>& steps = compact.steps();
+  coll::Schedule tail(schedule.name(), schedule.num_nodes(),
+                      schedule.num_chunks());
+  const std::vector<coll::Step>& steps = schedule.steps();
   for (std::size_t s = steps_done; s < steps.size(); ++s) {
     tail.add_step();
     for (const coll::Transfer& t : steps[s].transfers) {
@@ -119,14 +121,19 @@ class ElectricalExecution final : public SubstrateExecution {
     return hosts_;
   }
 
-  /// Remaining steps in compact ranks 0..k-1 — the seed every further
-  /// resume rebuilds its tail from.
-  coll::Schedule compact_;
+  /// What the flow timers route: the schedule itself while every
+  /// participant sits on its own host, else its remap onto hosts_.
+  [[nodiscard]] const coll::Schedule& routes() const {
+    return physical_ ? *physical_ : functional_;
+  }
+
   /// Remaining steps among participant ring ids — what the composite
-  /// all-reduce oracle proves; stable across host remaps.
+  /// all-reduce oracle proves; stable across host remaps, so a resume
+  /// keeps its tail.
   coll::Schedule functional_;
-  /// Remaining steps among the claimed hosts — what the flow timers route.
-  coll::Schedule physical_;
+  /// The same steps among the claimed hosts; engaged only when the hosts
+  /// differ from the participants (after a remapped resume).
+  std::optional<coll::Schedule> physical_;
   util::Bytes payload;
   std::vector<topo::NodeId> participants;
   /// hosts_[i] carries participants[i]'s data (identity at first placement,
@@ -206,11 +213,10 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     WRHT_CHECK(can_place(participants, 1),
                "ElectricalSubstrate: placement on busy hosts — "
                "arbitration bug");
-    const coll::Schedule compact = best_compact_schedule(
-        static_cast<std::uint32_t>(participants.size()), payload);
     // First placement claims hosts 1:1 at the participants' ring positions,
-    // so functional and physical coincide.
-    return make_plan(compact, participants, participants, payload);
+    // so the schedule routes as it stands.
+    return make_plan(best_schedule(participants, payload), participants,
+                     participants, payload);
   }
 
   [[nodiscard]] StepTiming time_step(SubstrateExecution& e, std::size_t step,
@@ -222,10 +228,10 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // network (route latency included).  On the star this IS the step —
     // host exclusivity means nobody else's flows exist on its links.  On
     // the shared fabric it is the contention-free baseline the slowdown is
-    // measured against.  Timed on the PHYSICAL schedule: after a remapped
-    // resume the quiet baseline belongs to the routes actually flown.
+    // measured against.  Timed on the routes actually flown: after a
+    // remapped resume the quiet baseline belongs to the physical copy.
     const std::optional<util::Seconds> quiet =
-        timer_.time_step(exec.physical_, step, exec.payload);
+        timer_.time_step(exec.routes(), step, exec.payload);
     WRHT_CHECK(quiet.has_value(),
                "ElectricalSubstrate: un-timeable step " << step
                                                         << " — arbitration "
@@ -236,7 +242,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       return out;
     }
     const std::optional<util::Seconds> end =
-        shared_->begin_step(exec.session, exec.physical_, step, exec.payload,
+        shared_->begin_step(exec.session, exec.routes(), step, exec.payload,
                             now);
     WRHT_CHECK(end.has_value(),
                "ElectricalSubstrate: shared fabric refused step "
@@ -484,14 +490,11 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // behind and stretch the whole run by the observed contention ratio.
     const util::Seconds quiet = predict_makespan(participants, payload, grant);
     if (!shared_) return now + quiet;
-    const coll::Schedule physical = remap_onto_hosts(
-        best_compact_schedule(static_cast<std::uint32_t>(participants.size()),
-                              payload),
-        participants, cluster_.num_hosts());
+    const coll::Schedule routes = best_schedule(participants, payload);
     const std::optional<util::Seconds> quiet_step =
-        timer_.time_step(physical, 0, payload);
+        timer_.time_step(routes, 0, payload);
     const std::optional<util::Seconds> busy_end =
-        shared_->predict_step_completion(physical, 0, payload, now);
+        shared_->predict_step_completion(routes, 0, payload, now);
     if (!quiet_step || !busy_end || quiet_step->value() <= 0.0) {
       return now + quiet;
     }
@@ -545,6 +548,16 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return doubling_cost < ring_cost ? std::move(doubling) : std::move(ring);
   }
 
+  /// best_compact_schedule for `participants`, written onto their ring ids.
+  [[nodiscard]] coll::Schedule best_schedule(
+      const std::vector<topo::NodeId>& participants,
+      util::Bytes payload) const {
+    return remap_onto_hosts(
+        best_compact_schedule(static_cast<std::uint32_t>(participants.size()),
+                              payload),
+        participants, cluster_.num_hosts());
+  }
+
   /// kResume: re-place a suspended remainder.  Grant widths are meaningless
   /// here — the remainder needs exactly one host per participant — and the
   /// participant set never shrinks (hosts checkpoint at BSP boundaries, so
@@ -559,7 +572,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     const std::optional<std::vector<topo::NodeId>> hosts =
         pick_hosts(current.participants);
     if (!hosts) return {};
-    return {make_plan(schedule_tail(current.compact_, request.steps_done),
+    return {make_plan(schedule_tail(current.functional_, request.steps_done),
                       *hosts, current.participants, current.payload)};
   }
 
@@ -572,10 +585,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     const std::optional<std::vector<topo::NodeId>> hosts =
         pick_hosts(request.nodes);
     if (!hosts) return {};
-    return {make_plan(
-        best_compact_schedule(static_cast<std::uint32_t>(request.nodes.size()),
-                              request.payload),
-        *hosts, request.nodes, request.payload)};
+    return {make_plan(best_schedule(request.nodes, request.payload), *hosts,
+                      request.nodes, request.payload)};
   }
 
   /// One free host per participant: the participants' own ring positions
@@ -630,16 +641,21 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   /// Claim `hosts` (which must be free) and build the plan that runs
-  /// `compact` for `participants` on them.  Shared placement tail of both
-  /// place() and renegotiate().
+  /// `schedule` (among `participants`' ring ids) on them.  Shared placement
+  /// tail of both place() and renegotiate().
   [[nodiscard]] std::unique_ptr<SubstrateExecution> make_plan(
-      const coll::Schedule& compact, const std::vector<topo::NodeId>& hosts,
+      coll::Schedule schedule, const std::vector<topo::NodeId>& hosts,
       const std::vector<topo::NodeId>& participants, util::Bytes payload) {
     auto plan = std::make_unique<ElectricalExecution>();
-    plan->compact_ = compact;
-    plan->functional_ =
-        remap_onto_hosts(compact, participants, cluster_.num_hosts());
-    plan->physical_ = remap_onto_hosts(compact, hosts, cluster_.num_hosts());
+    if (hosts != participants) {
+      std::vector<topo::NodeId> host_of(cluster_.num_hosts());
+      for (std::size_t i = 0; i < participants.size(); ++i) {
+        host_of[participants[i]] = hosts[i];
+      }
+      plan->physical_ =
+          remap_onto_hosts(schedule, host_of, cluster_.num_hosts());
+    }
+    plan->functional_ = std::move(schedule);
     plan->payload = payload;
     plan->participants = participants;
     plan->hosts_ = hosts;

@@ -1,19 +1,22 @@
 // The WDM-ring execution substrate: everything wavelength-shaped the
 // runtime used to do inline lives here now.  Grants are contiguous spectrum
-// bands from the SpectrumArbiter; plans are Wrht builds sized to the band
-// and shifted into place; per-step timing claims every (span, wavelength,
-// direction) cell on the shared SpectrumMap (a failed claim is an
-// arbitration bug and aborts, same fatal semantics as the single-job DES)
-// and schedules the release events on the shared clock.  Renegotiation — one
-// typed renegotiate() entry point covering resume, grow, shrink, fault
-// eviction, and restart — rebuilds the not-yet-run remainder through
-// core::rebuild_wrht_remainder_evicting and transacts the band on the
-// arbiter, with rollback when a rebuild does not pay off.  The substrate
-// owns its fault health: transceiver and node faults take ring positions
-// out of service (survivor rebuilds route around them), and degraded
-// wavelengths are quarantined as width-1 arbiter allocations the moment
-// they are free, so neither the planner nor first-fit can grant them until
-// repair.
+// bands from the SpectrumArbiter.  A plan is one Wrht build sized to the
+// band (job-local λ in [0, width)) plus the band itself — nothing else: the
+// annotated schedule the oracle proves is the schedule that is timed.
+// Per-step timing reads the step's transfers and paths in place, shifts each
+// λ by the band base, claims every (span, wavelength, direction) cell on the
+// shared SpectrumMap (a failed claim is an arbitration bug and aborts, same
+// fatal semantics as the single-job DES), prices each transfer with the
+// DES's own optical::transfer_cost, and schedules the release events on the
+// shared clock.  Renegotiation — one typed renegotiate() entry point
+// covering resume, grow, shrink, fault eviction, and restart — rebuilds the
+// not-yet-run remainder through core::rebuild_wrht_remainder_evicting and
+// transacts the band on the arbiter, with rollback when a rebuild does not
+// pay off.  The substrate owns its fault health: transceiver and node
+// faults take ring positions out of service (survivor rebuilds route around
+// them), and degraded wavelengths are quarantined as width-1 arbiter
+// allocations the moment they are free, so neither the planner nor
+// first-fit can grant them until repair.
 #include "runtime/substrate.hpp"
 
 #include <algorithm>
@@ -27,7 +30,6 @@
 #include "runtime/arbiter.hpp"
 #include "runtime/planner.hpp"
 #include "wrht/builder.hpp"
-#include "wrht/executor.hpp"
 #include "wrht/time_model.hpp"
 
 namespace wrht::runtime {
@@ -47,7 +49,6 @@ class OpticalExecution final : public SubstrateExecution {
   /// a successor plan (resize) — the double-release guard.
   bool holds_band = false;
   util::Bytes payload;
-  std::vector<std::vector<optical::TimedTransfer>> timed_steps;
   /// When this band is expected back: refreshed after every timed step by
   /// extrapolating the remaining steps at the step's own pace.  Zero until
   /// the first step is timed (a just-placed band; treated as releasing
@@ -118,37 +119,50 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] StepTiming time_step(SubstrateExecution& e, std::size_t step,
                                      util::Seconds now) override {
     auto& exec = static_cast<OpticalExecution&>(e);
-    const std::vector<optical::TimedTransfer>& transfers =
-        exec.timed_steps[step];
+    // The oracle-proven schedule itself, read in place: the build's λ are
+    // job-local [0, width), so each is shifted into the granted band here.
+    const coll::Schedule& schedule = exec.build.annotated.schedule;
+    const std::vector<coll::Transfer>& transfers =
+        schedule.steps()[step].transfers;
+    const std::vector<core::PathAssignment>& paths =
+        exec.build.annotated.paths[step];
+    const optical::WavelengthId base = exec.band_.base;
     StepTiming out;
 
     // Claim the step's spectrum cells on the SHARED map.  Bands are
     // disjoint, so a failed claim means the arbitration above is broken.
-    for (const optical::TimedTransfer& t : transfers) {
-      for (const optical::WavelengthId lambda : t.lambdas) {
-        WRHT_CHECK(spectrum_.try_reserve(t.arc, lambda),
+    for (const core::PathAssignment& path : paths) {
+      for (const optical::WavelengthId lambda : path.lambdas) {
+        WRHT_CHECK(spectrum_.try_reserve(path.arc, base + lambda),
                    "OpticalSubstrate: wavelength conflict on lambda "
-                       << lambda << " — arbitration bug");
+                       << base + lambda << " — arbitration bug");
         ++out.reservations;
       }
     }
 
+    // Both release paths below point into the plan's annotation instead of
+    // copying it: the plan is destroyed no earlier than the step-boundary
+    // event, which is scheduled after them (so at an equal timestamp a
+    // release still fires first).
     util::Seconds step_end = now;
-    for (const optical::TimedTransfer& t : transfers) {
-      const optical::WavelengthId primary = t.lambdas.front();
-      bool retuned = transceivers_.retune_tx(t.src, t.arc.direction, primary);
-      retuned |= transceivers_.retune_rx(t.dst, t.arc.direction, primary);
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      const coll::Transfer& t = transfers[i];
+      const core::PathAssignment& path = paths[i];
+      const optical::WavelengthId primary = base + path.lambdas.front();
+      const topo::Direction direction = path.arc.direction;
+      bool retuned = transceivers_.retune_tx(t.src, direction, primary);
+      retuned |= transceivers_.retune_rx(t.dst, direction, primary);
       if (params_.retune_every_step) retuned = true;
       if (retuned) ++out.retunes;
 
+      const util::Bytes bytes = schedule.chunk_bytes(exec.payload, t.chunk);
       const util::Seconds finish =
-          now + optical::transfer_cost(params_, t, retuned);
+          now + optical::transfer_cost(params_, path.arc, path.lambdas.size(),
+                                       bytes, retuned);
       step_end = std::max(step_end, finish);
       if (!flat_) {
-        sim_.schedule_at(finish, [this, arc = t.arc, lambdas = t.lambdas] {
-          for (const optical::WavelengthId lambda : lambdas) {
-            spectrum_.release(arc, lambda);
-          }
+        sim_.schedule_at(finish, [this, path = &path, base] {
+          release_cells(*path, base);
         });
       }
     }
@@ -158,15 +172,10 @@ class OpticalSubstrate final : public ExecutionSubstrate {
       // disjoint), and the only parties that could re-reserve them — this
       // execution's next step, or a successor band after a resize — act at
       // the step boundary (>= step_end + sync), which pops after this
-      // event.  The captured pointer into the plan's timed_steps outlives
-      // the event: the plan is destroyed no earlier than the step-boundary
-      // event, which was scheduled after this one (so at an equal timestamp
-      // this release still fires first).
-      sim_.schedule_at(step_end, [this, step_transfers = &transfers] {
-        for (const optical::TimedTransfer& t : *step_transfers) {
-          for (const optical::WavelengthId lambda : t.lambdas) {
-            spectrum_.release(t.arc, lambda);
-          }
+      // event.
+      sim_.schedule_at(step_end, [this, step_paths = &paths, base] {
+        for (const core::PathAssignment& path : *step_paths) {
+          release_cells(path, base);
         }
       });
     }
@@ -179,7 +188,7 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     // refreshed every step, so it converges as the execution drains.
     const double step_span = (out.end - now).value();
     const double remaining =
-        static_cast<double>(exec.timed_steps.size() - step - 1);
+        static_cast<double>(exec.num_steps() - step - 1);
     exec.predicted_end = out.end + util::Seconds(step_span * remaining);
     return out;
   }
@@ -208,37 +217,16 @@ class OpticalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] util::Seconds predict_completion(
       const std::vector<topo::NodeId>& participants, util::Bytes payload,
       std::uint32_t grant, util::Seconds now) const override {
-    // Run time plus the predicted wait for a band.  Under the planner
-    // policy the wait is SpectrumPlanner::earliest_fit — the first instant
-    // a CONTIGUOUS run of the width exists when outstanding bands release
-    // at their predicted ends — so a fragmented pool whose free TOTAL
-    // covers the request no longer reads as "available now".  The first-fit
-    // ablation keeps the historical estimate (largest-free-block point
-    // check, then a contiguity-blind credit walk over the free total) so
-    // its measured routing error stays the documented baseline.
+    // Run time plus the predicted wait for a band:
+    // SpectrumPlanner::earliest_fit, the first instant a CONTIGUOUS run of
+    // the width exists when outstanding bands release at their predicted
+    // ends — so a fragmented pool whose free TOTAL covers the request does
+    // not read as "available now".  The forecast does not depend on where
+    // a band would be placed, so it is the same under both spectrum
+    // policies; first-fit is a placement ablation only.
     const util::Seconds run = predict_makespan(participants, payload, grant);
     const std::uint32_t width = std::max(grant, 1u);
-    if (policy_ == SpectrumPolicy::kPlanner) {
-      const util::Seconds start =
-          SpectrumPlanner::earliest_fit(width, planner_context(now));
-      return start + run;
-    }
-    if (arbiter_.largest_free_block() >= width) return now + run;
-    std::vector<std::pair<util::Seconds, std::uint32_t>> releases;
-    releases.reserve(outstanding_.size());
-    for (const OpticalExecution* exec : outstanding_) {
-      releases.emplace_back(std::max(exec->predicted_end, now),
-                            exec->band_.width);
-    }
-    std::sort(releases.begin(), releases.end());
-    std::uint32_t free = arbiter_.free_total();
-    util::Seconds wait{0.0};
-    for (const auto& [end, released] : releases) {
-      wait = end - now;
-      free += released;
-      if (free >= width) break;
-    }
-    return now + wait + run;
+    return SpectrumPlanner::earliest_fit(width, planner_context(now)) + run;
   }
 
   [[nodiscard]] RenegotiationOutcome renegotiate(
@@ -562,15 +550,26 @@ class OpticalSubstrate final : public ExecutionSubstrate {
     plan->band_ = band;
     plan->holds_band = true;
     plan->payload = payload;
-    const std::size_t num_steps = plan->build.annotated.schedule.num_steps();
-    plan->timed_steps.reserve(num_steps);
-    for (std::size_t s = 0; s < num_steps; ++s) {
-      plan->timed_steps.push_back(
-          core::timed_step(plan->build.annotated, s, payload, band.base));
+    // time_step reads paths[step][i] beside transfers[i] unchecked.
+    const core::AnnotatedSchedule& annotated = plan->build.annotated;
+    WRHT_CHECK(annotated.paths.size() == annotated.schedule.num_steps(),
+               "OpticalSubstrate: annotation out of sync with its schedule");
+    for (std::size_t s = 0; s < annotated.paths.size(); ++s) {
+      WRHT_CHECK(annotated.paths[s].size() ==
+                     annotated.schedule.steps()[s].transfers.size(),
+                 "OpticalSubstrate: annotation out of sync at step " << s);
     }
     plan->outstanding_index = outstanding_.size();
     outstanding_.push_back(plan.get());
     return plan;
+  }
+
+  /// Return one transfer's cells (its λ shifted into the band at `base`).
+  void release_cells(const core::PathAssignment& path,
+                     optical::WavelengthId base) {
+    for (const optical::WavelengthId lambda : path.lambdas) {
+      spectrum_.release(path.arc, base + lambda);
+    }
   }
 
   /// Drop an execution from the backlog registry the moment its band stops

@@ -1,5 +1,5 @@
-// Lightweight statistics used by the simulators: counters, running summaries,
-// and fixed-bucket histograms.  Everything is plain value-semantics so a
+// Lightweight statistics used by the simulators: running summaries and
+// fixed-bucket histograms.  Everything is plain value-semantics so a
 // network model can embed them freely.
 #pragma once
 
@@ -9,16 +9,6 @@
 #include <vector>
 
 namespace wrht::sim {
-
-/// Monotone event counter.
-class Counter {
- public:
-  void increment(std::uint64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Streaming min/max/mean/variance (Welford).
 class Summary {

@@ -7,12 +7,6 @@ namespace wrht::core {
 std::vector<optical::TimedTransfer> timed_step(
     const AnnotatedSchedule& annotated, std::size_t step,
     util::Bytes payload) {
-  return timed_step(annotated, step, payload, 0);
-}
-
-std::vector<optical::TimedTransfer> timed_step(
-    const AnnotatedSchedule& annotated, std::size_t step, util::Bytes payload,
-    optical::WavelengthId lambda_offset) {
   const coll::Step& s = annotated.schedule.steps()[step];
   WRHT_CHECK(annotated.paths[step].size() == s.transfers.size(),
              "timed_step: annotation out of sync at step " << step);
@@ -21,11 +15,9 @@ std::vector<optical::TimedTransfer> timed_step(
   for (std::size_t i = 0; i < s.transfers.size(); ++i) {
     const coll::Transfer& t = s.transfers[i];
     const PathAssignment& path = annotated.paths[step][i];
-    std::vector<optical::WavelengthId> lambdas = path.lambdas;
-    for (optical::WavelengthId& lambda : lambdas) lambda += lambda_offset;
     out.push_back(optical::TimedTransfer{
         t.src, t.dst, annotated.schedule.chunk_bytes(payload, t.chunk),
-        path.arc, std::move(lambdas)});
+        path.arc, path.lambdas});
   }
   return out;
 }

@@ -9,16 +9,12 @@
 namespace wrht::core {
 
 /// Convert one annotated step into the DES transfer list for `payload`.
+/// Only the single-job DES needs this copy: the multi-tenant runtime times
+/// the annotated schedule in place (shifted into its granted band as it
+/// reads each λ) through the same optical::transfer_cost.
 [[nodiscard]] std::vector<optical::TimedTransfer> timed_step(
     const AnnotatedSchedule& annotated, std::size_t step,
     util::Bytes payload);
-
-/// Same, shifting every wavelength up by `lambda_offset`.  The multi-tenant
-/// runtime builds schedules against a job-local budget [0, w) and relocates
-/// them into the spectrum band the arbiter granted.
-[[nodiscard]] std::vector<optical::TimedTransfer> timed_step(
-    const AnnotatedSchedule& annotated, std::size_t step, util::Bytes payload,
-    optical::WavelengthId lambda_offset);
 
 /// Execute the whole schedule on `network` (which must have at least
 /// annotated.wavelengths_required wavelengths and the right node count).

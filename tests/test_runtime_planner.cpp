@@ -6,6 +6,10 @@
 // and earliest_fit's contiguity-honest availability (a fragmented pool
 // whose TOTAL covers the request is not "available now").
 //
+// Substrate level: a first-fit and a planner optical substrate in the same
+// fragmented spectrum state forecast the same completion — the forecast is
+// earliest_fit under either placement policy.
+//
 // End-to-end level, against the first-fit ablation baseline
 // (SpectrumPolicy::kFirstFit) on identical workloads:
 //
@@ -27,12 +31,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "optical/params.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/substrate.hpp"
+#include "sim/simulator.hpp"
+#include "topo/ring.hpp"
 #include "util/random.hpp"
 
 namespace wrht::runtime {
@@ -175,6 +184,53 @@ TEST(SpectrumPlannerUnit, EarliestFitMergesReleasesInPredictedOrder) {
   // Overdue predictions (end < now) release immediately, never in the past.
   ctx.now = util::Seconds(3.0);
   EXPECT_EQ(SpectrumPlanner::earliest_fit(4, ctx), util::Seconds(3.0));
+}
+
+// ---------------------------------------------------------------------------
+// The completion forecast is placement-independent
+// ---------------------------------------------------------------------------
+
+TEST(SpectrumPolicyForecast, FirstFitAndPlannerSubstratesPredictAlike) {
+  // Two optical substrates, one per spectrum policy, driven into the same
+  // fragmented state: bands [0,2) [2,6) [6,10) [10,14) [14,16) placed, then
+  // [2,6) and [10,14) handed back, so 8 λ are free but no contiguous 8.
+  // The holders are timed at staggered instants so their predicted ends
+  // order [0,2) < [14,16) < [6,10).  A width-8 forecast must wait for
+  // [6,10), the band that bridges the fragments, under either policy — a
+  // free-total credit walk would answer with [0,2)'s end.
+  const topo::RingTopology ring(kRingSize);
+  optical::OpticalParams params;
+  params.wdm.num_wavelengths = kWavelengths;
+  const std::vector<topo::NodeId> pair{0, 1};
+  const util::Bytes payload = util::megabytes(1);
+  auto forecast = [&](SpectrumPolicy policy) {
+    sim::Simulator sim;
+    const std::unique_ptr<ExecutionSubstrate> sub =
+        make_optical_substrate(ring, params, sim, true, policy);
+    std::vector<std::unique_ptr<SubstrateExecution>> plans;
+    std::vector<WavelengthBand> bands;
+    for (const std::uint32_t width : {2u, 4u, 4u, 4u, 2u}) {
+      plans.push_back(sub->place(pair, payload, width));
+      bands.push_back(plans.back()->band());
+    }
+    EXPECT_EQ(bands, (std::vector<WavelengthBand>{
+                         {0, 2}, {2, 4}, {6, 4}, {10, 4}, {14, 2}}));
+    sub->release(*plans[1], sim.now());
+    sub->release(*plans[3], sim.now());
+    (void)sub->time_step(*plans[0], 0, util::Seconds(0.0));
+    (void)sub->time_step(*plans[4], 0, util::Seconds(1.0));
+    (void)sub->time_step(*plans[2], 0, util::Seconds(2.0));
+    const std::vector<topo::NodeId> group{0, 1, 2, 3, 4, 5, 6, 7};
+    return std::make_pair(
+        sub->predict_completion(group, payload, 8, util::Seconds(0.0)),
+        sub->predict_makespan(group, payload, 8));
+  };
+  const auto [planner, run] = forecast(SpectrumPolicy::kPlanner);
+  const auto [first_fit, ff_run] = forecast(SpectrumPolicy::kFirstFit);
+  EXPECT_EQ(first_fit, planner);
+  EXPECT_EQ(ff_run, run);
+  // The wait ends with [6,10), timed last (from t = 2 s).
+  EXPECT_GT(planner - run, util::Seconds(2.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@
 //
 // Seeds are FIXED so a failure reproduces bit-for-bit: the runtime is
 // deterministic for a given submission set, and the generator is the
-// repo's own xoshiro Rng.
+// repo's own xoshiro Rng.  FixedSeedsMatchRecordedDigest pins each fixed
+// seed's whole run (report, records, trace) to a recorded FNV-1a digest,
+// plain and with chaos, so a change meant to keep behaviour identical is
+// held to it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +40,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -519,6 +523,109 @@ TEST(RuntimeStress, ExtraSeedsFromEnvironment) {
                     /*min_completed=*/chaos_enabled() ? 200 / 2
                                                       : 200 * 5 / 8);
     if (::testing::Test::HasFailure()) break;  // first failing seed is enough
+  }
+}
+
+/// FNV-1a over 64-bit words and byte strings: one fingerprint of a whole
+/// run, so a refactor that must keep reports bit-identical can prove it.
+class Fnv {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    add(bits);
+  }
+  void add(const std::string& text) {
+    add(static_cast<std::uint64_t>(text.size()));
+    for (const char c : text) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// One seed's run, exactly as `run_stress_seed` drives it, folded into a
+/// digest: the report text, each record's state, steps, band and the raw
+/// bits of its admitted/completed/contention values, and every trace event.
+/// `chaos` builds the seed's injector directly (not through the env var).
+std::uint64_t digest_for_seed(std::uint64_t seed, bool chaos) {
+  util::Rng rng(seed);
+  obs::MetricsRegistry registry;
+  RuntimeConfig config = config_for_seed(rng);
+  config.metrics = &registry;
+  std::optional<FaultInjector> injector;
+  if (chaos) {
+    injector.emplace(chaos_for_seed(seed, config));
+    config.faults = &*injector;
+  }
+  CollectiveRuntime rt(config);
+  rt.trace().enable();
+  for (std::uint32_t j = 0; j < 200; ++j) rt.submit(job_for_seed(rng));
+  const RuntimeReport report = rt.run();
+
+  Fnv fnv;
+  fnv.add(report.to_string());
+  for (JobId id = 0; id < rt.num_jobs(); ++id) {
+    const JobRecord& record = rt.record(id);
+    fnv.add(static_cast<std::uint64_t>(record.state));
+    fnv.add(static_cast<std::uint64_t>(record.steps));
+    fnv.add(static_cast<std::uint64_t>(record.band.base));
+    fnv.add(static_cast<std::uint64_t>(record.band.width));
+    fnv.add(record.admitted.value());
+    fnv.add(record.completed.value());
+    fnv.add(record.contention_slowdown);
+  }
+  for (const sim::TraceEvent& event : rt.trace().events()) {
+    fnv.add(event.time.value());
+    fnv.add(static_cast<std::uint64_t>(event.kind));
+    fnv.add(static_cast<std::uint64_t>(event.a));
+    fnv.add(static_cast<std::uint64_t>(event.b));
+    fnv.add(event.detail);
+  }
+  return fnv.value();
+}
+
+TEST(RuntimeStress, FixedSeedsMatchRecordedDigest) {
+  // Any change to what a fixed seed reports, records or traces moves a
+  // digest; the values agree across Debug, Release and sanitizer builds.
+  // Plain and chaos legs are both pinned here, whatever WRHT_STRESS_CHAOS
+  // says.  A deliberate behaviour change re-records them from the printed
+  // lines.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t plain;
+    std::uint64_t chaos;
+  };
+  const Golden goldens[] = {
+      {0ull, 0x9b0141b00a6528c1ull, 0x9bf9db51ce3c9421ull},
+      {0xC0FFEEull, 0xced96ae90ada6c41ull, 0xa7e3121c69cba858ull},
+      {1ull, 0xf9813da38625a28bull, 0xa19f61a9c49d0064ull},
+      {2ull, 0xe82127fb6ee35d3bull, 0x982f9d4ed5507e08ull},
+      {3ull, 0xb059d7ff1f1c8977ull, 0xeab95277ecf77064ull},
+      {7ull, 0x67bab97a9c47c7d5ull, 0xb0f282dfc28803feull},
+      {42ull, 0x6342e9188c9a9f94ull, 0xa9e21b4598d49e6aull},
+      {20260730ull, 0x8b44405cb33d0f36ull, 0x63568c604bd09ac5ull},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE("seed=" + std::to_string(golden.seed));
+    const std::uint64_t plain = digest_for_seed(golden.seed, false);
+    const std::uint64_t chaos = digest_for_seed(golden.seed, true);
+    std::printf("[seed %llu] digest plain=0x%016llxull chaos=0x%016llxull\n",
+                static_cast<unsigned long long>(golden.seed),
+                static_cast<unsigned long long>(plain),
+                static_cast<unsigned long long>(chaos));
+    EXPECT_EQ(plain, golden.plain);
+    EXPECT_EQ(chaos, golden.chaos);
   }
 }
 

@@ -7,14 +7,6 @@
 namespace wrht::sim {
 namespace {
 
-TEST(Counter, Increments) {
-  Counter counter;
-  EXPECT_EQ(counter.value(), 0u);
-  counter.increment();
-  counter.increment(5);
-  EXPECT_EQ(counter.value(), 6u);
-}
-
 TEST(Summary, EmptyIsZero) {
   Summary summary;
   EXPECT_EQ(summary.count(), 0u);
