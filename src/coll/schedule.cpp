@@ -60,9 +60,15 @@ std::string Schedule::to_string() const {
   for (std::size_t s = 0; s < steps_.size(); ++s) {
     out += "  step " + std::to_string(s) + ":";
     for (const Transfer& t : steps_[s].transfers) {
-      out += " " + std::to_string(t.src) + "->" + std::to_string(t.dst) +
-             "[c" + std::to_string(t.chunk) + "," +
-             (t.op == TransferOp::kReduce ? "R" : "C") + "]";
+      out += " ";
+      out += std::to_string(t.src);
+      out += "->";
+      out += std::to_string(t.dst);
+      out += "[c";
+      out += std::to_string(t.chunk);
+      out += ",";
+      out += t.op == TransferOp::kReduce ? "R" : "C";
+      out += "]";
     }
     out += "\n";
   }

@@ -1,6 +1,8 @@
 #include "elec/shared_fabric.hpp"
 
 #include <algorithm>
+#include <utility>
+
 #include "util/check.hpp"
 
 #include "obs/metrics.hpp"
@@ -64,6 +66,9 @@ void SharedFabricTimer::finalize_step(SessionId session_id) {
 std::optional<util::Seconds> SharedFabricTimer::begin_step(
     SessionId session_id, const coll::Schedule& schedule, std::size_t step,
     util::Bytes payload, util::Seconds now) {
+  // Every begin_step moves the fabric on, so a probe is fresh for at most
+  // the very next one.
+  const bool probed = std::exchange(probe_.fresh, false);
   if (session_id >= sessions_.size() || !sessions_[session_id].open) {
     return std::nullopt;
   }
@@ -84,6 +89,8 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
     finalize_step(session_id);
   }
 
+  step_flows(schedule, step, payload, pending_);
+  const bool adopt = probed && probe_.now == now && probe_.flows == pending_;
   LoggedStep logged;
   logged.session = session_id;
   logged.step = static_cast<std::uint64_t>(step);
@@ -91,14 +98,13 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
   session.current_step = steps_.size();
   session.step_start = now;
   session.step_number = static_cast<std::uint64_t>(step);
-  for (const coll::Transfer& t : schedule.steps()[step].transfers) {
-    const util::Bytes bytes = schedule.chunk_bytes(payload, t.chunk);
+  for (const StepFlow& flow : pending_) {
     session.inflight.push_back(
-        network_.add_flow(cluster_->route(t.src, t.dst), bytes));
-    if (audit_) logged.flows.push_back(LoggedFlow{t.src, t.dst, bytes});
+        network_.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
   }
   session.has_step = !session.inflight.empty();
   if (audit_) {
+    logged.flows = pending_;
     ops_.push_back(LoggedOp{now, static_cast<std::ptrdiff_t>(steps_.size())});
     steps_.push_back(std::move(logged));
   }
@@ -118,21 +124,33 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
     return now;
   }
   session.predicted_end = now;  // repredict overwrites with the real value
-  repredict(session_id);
+  repredict(session_id, adopt);
   retire_drained();
   return session.predicted_end;
 }
 
-void SharedFabricTimer::repredict(SessionId started) {
+void SharedFabricTimer::repredict(SessionId started, bool adopt) {
   // Forward-run a live-flows-only copy to completion: each in-flight step
   // ends when the last of its flows drains.  The copy shares the real
   // network's arithmetic, so the prediction is the fluid model's answer,
   // not an estimate — it only goes stale if another flow arrives later,
-  // and that arrival re-runs this very function.
-  std::vector<FlowId> id_map;
-  FlowNetwork forward = network_.clone_live(id_map);
-  forward.run();
+  // and that arrival re-runs this very function.  A fresh probe of the
+  // step just injected has already made exactly this run.
   const FlowId floor = network_.id_floor();
+  std::vector<FlowId> own_map;
+  FlowNetwork own_run;
+  if (adopt) {
+    WRHT_CHECK(probe_.id_map.size() ==
+                   sessions_[started].inflight.back() - floor + 1,
+               "SharedFabricTimer: adopted probe does not cover the flows "
+               "just injected");
+  } else {
+    own_run = network_.clone_live(own_map);
+    own_run.run();
+    ++forward_runs_;
+  }
+  const FlowNetwork& forward = adopt ? probe_.forward : own_run;
+  const std::vector<FlowId>& id_map = adopt ? probe_.id_map : own_map;
   for (const SessionId id : open_sessions_) {
     Session& session = sessions_[id];
     if (!session.has_step) continue;
@@ -141,12 +159,11 @@ void SharedFabricTimer::repredict(SessionId started) {
     for (const FlowId flow : session.inflight) {
       // A flow that already drained on the real network keeps its recorded
       // completion; only still-live flows take the forward prediction.
-      const FlowId mapped = id_map[flow - floor];
-      if (mapped == kNoFlow) {
+      if (network_.completed(flow)) {
         end = std::max(end, network_.completion_time(flow));
       } else {
         any_live = true;
-        end = std::max(end, forward.completion_time(mapped));
+        end = std::max(end, forward.completion_time(id_map[flow - floor]));
       }
     }
     if (id == started) {
@@ -179,22 +196,28 @@ std::optional<util::Seconds> SharedFabricTimer::predict_step_completion(
   if (schedule.num_nodes() > cluster_->num_hosts()) return std::nullopt;
   if (now < network_.now()) return std::nullopt;
 
+  probe_.fresh = false;
+  step_flows(schedule, step, payload, probe_.flows);
+  if (probe_.flows.empty()) return now;  // flow-less step completes instantly
   // The clone carries exactly the flows still in flight; advancing IT to
   // `now` instead of the real network keeps the probe side-effect free.
-  std::vector<FlowId> id_map;
-  FlowNetwork probe = network_.clone_live(id_map);
+  // The injected flows extend the id map where a begin_step's would land.
+  probe_.forward = network_.clone_live(probe_.id_map);
+  FlowNetwork& probe = probe_.forward;
   probe.run_until(now);
-  std::vector<FlowId> injected;
-  for (const coll::Transfer& t : schedule.steps()[step].transfers) {
-    injected.push_back(probe.add_flow(cluster_->route(t.src, t.dst),
-                                      schedule.chunk_bytes(payload, t.chunk)));
+  const std::size_t first = probe_.id_map.size();
+  for (const StepFlow& flow : probe_.flows) {
+    probe_.id_map.push_back(
+        probe.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
   }
-  if (injected.empty()) return now;  // flow-less step completes instantly
   probe.run();
+  ++forward_runs_;
   util::Seconds end = now;
-  for (const FlowId flow : injected) {
-    end = std::max(end, probe.completion_time(flow));
+  for (std::size_t i = first; i < probe_.id_map.size(); ++i) {
+    end = std::max(end, probe.completion_time(probe_.id_map[i]));
   }
+  probe_.now = now;
+  probe_.fresh = true;
   return end;
 }
 
@@ -203,6 +226,7 @@ void SharedFabricTimer::close_session(SessionId session_id,
   WRHT_REQUIRE(session_id < sessions_.size() && sessions_[session_id].open,
                "SharedFabricTimer: close of unknown session " << session_id);
   Session& session = sessions_[session_id];
+  probe_.fresh = false;
   network_.run_until(std::max(now, network_.now()));
   if (audit_) ops_.push_back(LoggedOp{network_.now(), -1});
   finalize_step(session_id);
@@ -249,7 +273,7 @@ std::uint64_t SharedFabricTimer::verify_replay() const {
     replay.run_until(op.time);
     if (op.step < 0) continue;
     const LoggedStep& logged = steps_[static_cast<std::size_t>(op.step)];
-    for (const LoggedFlow& flow : logged.flows) {
+    for (const StepFlow& flow : logged.flows) {
       replay_ids[static_cast<std::size_t>(op.step)].push_back(
           replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
     }

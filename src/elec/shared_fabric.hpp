@@ -23,6 +23,18 @@
 //    current flow to completion, including their rate changes as peers
 //    drain.
 //
+// A router that probes a step (predict_step_completion) and then places it
+// (begin_step) would pay for the same forward run twice: the probe clones
+// the fabric, advances the clone to `now`, injects the step and runs it to
+// drain; begin_step advances the real fabric to `now`, injects the step,
+// clones and runs to drain.  Both orders apply the same arithmetic to the
+// same live flows in the same order, so their completion times are bitwise
+// equal, and begin_step adopts the probe's forward run instead of running
+// its own when the probe is FRESH: no begin_step or close_session since it,
+// the same `now`, and the identical ordered (src, dst, bytes) flow list.
+// Anything else falls back to a forward run of the real fabric.
+// forward_runs() counts the runs actually made.
+//
 // Correctness is anchored by a whole-horizon replay oracle: the timer logs
 // every advance point and every injected flow, and verify_replay() re-runs
 // the identical operation sequence on a FRESH FlowNetwork — the per-step
@@ -36,6 +48,7 @@
 #include <vector>
 
 #include "coll/schedule.hpp"
+#include "elec/schedule_runner.hpp"
 #include "elec/topology.hpp"
 #include "util/units.hpp"
 
@@ -80,6 +93,9 @@ class SharedFabricTimer {
   /// still-in-flight case has already advanced the shared clock to `now`
   /// and logged that advance (the replay oracle must split its advances
   /// exactly where the live network did, failed requests included).
+  /// Adopts the last probe's forward run when that probe is fresh for
+  /// exactly this request (see the file comment); the result is bitwise
+  /// the same either way.
   [[nodiscard]] std::optional<util::Seconds> begin_step(
       SessionId session, const coll::Schedule& schedule, std::size_t step,
       util::Bytes payload, util::Seconds now);
@@ -94,7 +110,9 @@ class SharedFabricTimer {
   /// against the real residual uplink bandwidth — a pure probe that injects
   /// nothing, logs nothing, and retimes nobody.  Same rejection cases as
   /// begin_step's schedule checks (out-of-range step, too many hosts, a
-  /// clock before the fabric's).
+  /// clock before the fabric's).  The forward run is remembered so that a
+  /// begin_step of the same flows at the same instant, with the fabric
+  /// untouched in between, can adopt it; a later probe replaces it.
   [[nodiscard]] std::optional<util::Seconds> predict_step_completion(
       const coll::Schedule& schedule, std::size_t step, util::Bytes payload,
       util::Seconds now) const;
@@ -118,6 +136,11 @@ class SharedFabricTimer {
 
   [[nodiscard]] std::size_t active_sessions() const;
 
+  /// Forward runs to drain made so far: one per probe of a step with flows,
+  /// one per begin_step with flows that could not adopt a fresh probe.  A
+  /// deterministic work counter.
+  [[nodiscard]] std::uint64_t forward_runs() const { return forward_runs_; }
+
   /// Peak utilization (allocated rate / capacity, in [0,1]) per link of the
   /// shared network since construction.  Indexed by the cluster's link ids.
   [[nodiscard]] std::vector<double> link_peak_utilization() const;
@@ -135,14 +158,6 @@ class SharedFabricTimer {
   [[nodiscard]] std::uint64_t verify_replay() const;
 
  private:
-  /// A logged flow keeps its host pair, not a route copy: the replay
-  /// re-derives the route from the cluster's route table, the same table
-  /// the live injection read it from.
-  struct LoggedFlow {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    util::Bytes bytes;
-  };
   struct LoggedStep {
     SessionId session = 0;
     std::uint64_t step = 0;
@@ -151,7 +166,9 @@ class SharedFabricTimer {
     /// step's flows have drained (predictions may sit an ulp away).
     util::Seconds end{0.0};
     bool finalized = false;
-    std::vector<LoggedFlow> flows;
+    /// Host pairs, not route copies: the replay re-derives each route from
+    /// the cluster's route table, the same table the live injection read.
+    std::vector<StepFlow> flows;
   };
   /// One advance of the shared network, optionally followed by a step's
   /// flow injections.  The replay oracle re-runs exactly this sequence, so
@@ -177,10 +194,23 @@ class SharedFabricTimer {
   /// completed on the shared network (aborts otherwise — a step boundary
   /// fired before its flows drained, which the retiming contract forbids).
   void finalize_step(SessionId session_id);
+  /// The last probe's forward run: the clone run to drain, and the map from
+  /// a real flow id (minus the id floor) to its id in that clone — the
+  /// flows live at the probe, then the probed step's flows in injection
+  /// order, which are exactly the ids a begin_step of them would get.
+  struct Probe {
+    bool fresh = false;
+    util::Seconds now{0.0};
+    std::vector<StepFlow> flows;
+    FlowNetwork forward;
+    std::vector<FlowId> id_map;
+  };
+
   /// Recompute predicted completions for every in-flight step after an
-  /// injection; queue a Retiming for each session other than `started`
-  /// whose prediction moved.
-  void repredict(SessionId started);
+  /// injection, from the fresh probe's forward run when `adopt` is set and
+  /// from a new forward run of the real fabric otherwise; queue a Retiming
+  /// for each session other than `started` whose prediction moved.
+  void repredict(SessionId started, bool adopt);
 
   /// Refresh the uplink-utilization gauge (no-op without a registry).
   void publish_utilization();
@@ -199,6 +229,11 @@ class SharedFabricTimer {
   std::vector<LoggedStep> steps_;
   std::vector<LoggedOp> ops_;
   std::vector<Retiming> retimings_;
+  /// Mutable: the const probe remembers its forward run for begin_step.
+  mutable Probe probe_;
+  mutable std::uint64_t forward_runs_ = 0;
+  /// The flows of the step begin_step is injecting (reused storage).
+  std::vector<StepFlow> pending_;
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* steps_timed_ = nullptr;
   obs::Counter* retimings_emitted_ = nullptr;

@@ -148,8 +148,11 @@ std::string MetricsRegistry::to_json() const {
       if (buckets.buckets()[i] == 0) continue;
       if (!first_bucket) out += ", ";
       first_bucket = false;
-      out += "[" + json_number(buckets.bucket_bound(i)) + ", " +
-             std::to_string(buckets.buckets()[i]) + "]";
+      out += "[";
+      out += json_number(buckets.bucket_bound(i));
+      out += ", ";
+      out += std::to_string(buckets.buckets()[i]);
+      out += "]";
     }
     out += "]}";
   }
@@ -165,8 +168,11 @@ std::string MetricsRegistry::to_json() const {
     for (const TimeSeriesSampler::Point& point : series.points) {
       if (!first_point) out += ", ";
       first_point = false;
-      out += "[" + json_number(point.time_seconds) + ", " +
-             json_number(point.value) + "]";
+      out += "[";
+      out += json_number(point.time_seconds);
+      out += ", ";
+      out += json_number(point.value);
+      out += "]";
     }
     out += "]";
   }

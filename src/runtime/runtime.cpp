@@ -688,51 +688,54 @@ void CollectiveRuntime::audit_route_decision(const Execution& exec,
                                              SubstratePin pin) {
   // The routing verdict binds HERE, at placement — until now the
   // comparison was re-asked on every event and carried no commitment.
-  // Record both fabrics' predictions (the decision's inputs, frozen for
-  // post-hoc audit) and stamp each carried job with the chosen one; the
-  // run-end report scores them against actual completions.  One decision
-  // per EXECUTION (the router ran once; fused peers ride the verdict),
-  // and none at all for pinned jobs — a forced placement says nothing
-  // about the router's accuracy.
+  // Stamp each carried job with the chosen fabric's prediction (frozen for
+  // post-hoc audit; the run-end report scores it against the actual
+  // completion) and trace both fabrics' predictions, the decision's inputs.
+  // One decision per EXECUTION (the router ran once; fused peers ride the
+  // verdict), and none at all for pinned jobs — a forced placement says
+  // nothing about the router's accuracy.
   const std::optional<std::pair<util::Seconds, util::Seconds>> precomputed =
       std::exchange(pending_route_prediction_, std::nullopt);
   if (config_.placement != HybridPlacementPolicy::kCostModelChoice ||
       !electrical_ || pin != SubstratePin::kAny) {
     return;
   }
-  // The optical alternative is priced at the band the execution holds, or
-  // at the lead's request when it holds none.  The electrical placement
-  // path just priced both sides for exactly this
+  // The electrical placement path just priced both sides for exactly this
   // work — no fusion happened, the fabric state is untouched (the
   // execution's own flows are injected by run_step, after this audit) — so
-  // re-running the congestion probe would buy the same numbers for another
-  // FlowNetwork clone.  A FUSED execution runs batch_payload, not the lead's
-  // payload the comparison priced; it gets a fresh estimate so electrical
-  // and optical decisions are scored against the same (batched) work.
-  const auto [optic, elec] =
-      precomputed && exec.jobs.size() == 1
-          ? *precomputed
-          : std::pair{predict(*optical_, exec.participants,
-                              exec.batch_payload,
-                              exec.plan->band().valid()
-                                  ? exec.plan->band().width
-                                  : optical_request),
-                      predict(*electrical_, exec.participants,
-                              exec.batch_payload, 1)};
+  // its numbers are reused.  A FUSED execution runs batch_payload, not the
+  // lead's payload the comparison priced, and an optical placement never
+  // ran the comparison: both get a fresh estimate, the optical side priced
+  // at the band the execution holds (else the lead's request).  A fresh
+  // estimate prices only the chosen fabric, since only it reaches the
+  // record and the report; the other side feeds the trace line alone, so
+  // an untraced run skips its probe (an electrical one is a fabric clone
+  // run to drain).
+  const bool reuse = precomputed && exec.jobs.size() == 1;
+  const auto price = [&](bool electrical) {
+    if (reuse) return electrical ? precomputed->second : precomputed->first;
+    return electrical
+               ? predict(*electrical_, exec.participants, exec.batch_payload, 1)
+               : predict(*optical_, exec.participants, exec.batch_payload,
+                         exec.plan->band().valid() ? exec.plan->band().width
+                                                   : optical_request);
+  };
   const bool placed_electrical =
       exec.substrate->kind() == SubstrateKind::kElectrical;
-  const util::Seconds chosen = placed_electrical ? elec : optic;
+  const util::Seconds chosen = price(placed_electrical);
   ++report_.routing.decisions;
   ++(placed_electrical ? report_.routing.to_electrical
                        : report_.routing.to_optical);
+  for (const JobId id : exec.jobs) records_[id].predicted_completion = chosen;
+  if (!trace_.enabled()) return;
+  const util::Seconds other = price(!placed_electrical);
+  std::string verdict = "optical=";
+  verdict += util::to_string(placed_electrical ? other : chosen);
+  verdict += " electrical=";
+  verdict += util::to_string(placed_electrical ? chosen : other);
   for (const JobId id : exec.jobs) {
-    records_[id].predicted_completion = chosen;
-    if (trace_.enabled()) {
-      trace_.record(simulator_.now(), sim::TraceKind::kRouteDecision, id,
-                    static_cast<std::int64_t>(exec.substrate->kind()),
-                    "optical=" + util::to_string(optic) +
-                        " electrical=" + util::to_string(elec));
-    }
+    trace_.record(simulator_.now(), sim::TraceKind::kRouteDecision, id,
+                  static_cast<std::int64_t>(exec.substrate->kind()), verdict);
   }
 }
 

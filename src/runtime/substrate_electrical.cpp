@@ -24,6 +24,15 @@
 //    (StepFlowTimer) as the denominator of the per-job contention
 //    slowdown.
 //
+// One forward run per routing decision.  The congestion-aware probe
+// (predict_completion) times the candidate's first step twice: quietly, and
+// against the live fabric.  When the router then places that job, its first
+// time_step asks for the same two numbers at the same instant.  The quiet
+// timer remembers its last flow list and makespan, and the shared fabric
+// adopts the probe's forward run while it is fresh (no other step began and
+// no session closed since), so neither is run again; both answers are
+// bitwise the ones a new run would give.
+//
 // Schedules are the classic electrical collectives the paper benchmarks
 // against: the chunked ring (bandwidth-optimal) or recursive doubling
 // (latency-optimal), picked per job by the alpha-beta cost model and written
@@ -464,7 +473,7 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // The alpha-beta analytic cost of the schedule this substrate would
     // run.  On the patterns schedule_for picks (ring steps, pairwise
     // exchanges) the flow simulation and the analytic model agree exactly,
-    // so this is a faithful prediction, not a bound.  Admission re-asks
+    // so this is a faithful prediction, not a bound.  Quiet routing re-asks
     // this for every queued candidate on every event, and the answer
     // depends only on (rank count, payload) for a fixed cluster — memoized
     // so the O(k^2)-transfer schedule is not rebuilt each time.
@@ -472,10 +481,13 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     const std::pair<std::uint32_t, std::uint64_t> key{k, payload.count()};
     const auto cached = prediction_cache_.find(key);
     if (cached != prediction_cache_.end()) return cached->second;
-    const util::Seconds predicted =
-        coll::alpha_beta_cost(best_compact_schedule(k, payload), payload,
-                              elec::alpha_beta_for(cluster_))
-            .total;
+    const util::Seconds predicted = best_compact_schedule(k, payload).cost;
+    // Payloads are continuous draws, so the memo would gain about one entry
+    // per routed job and keep it forever.  The keys asked again are the few
+    // candidates queued right now, so a full memo simply starts over.
+    if (prediction_cache_.size() >= kPredictionCacheCap) {
+      prediction_cache_.clear();
+    }
     prediction_cache_.emplace(key, predicted);
     return predicted;
   }
@@ -488,9 +500,14 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     // quiet timing exact); on the shared tree, probe the first step's flows
     // against the residual uplink bandwidth the in-flight tenants leave
     // behind and stretch the whole run by the observed contention ratio.
-    const util::Seconds quiet = predict_makespan(participants, payload, grant);
-    if (!shared_) return now + quiet;
-    const coll::Schedule routes = best_schedule(participants, payload);
+    if (!shared_) return now + predict_makespan(participants, payload, grant);
+    // One schedule choice yields both the quiet run time and the routes the
+    // probe injects.
+    const auto k = static_cast<std::uint32_t>(participants.size());
+    const CompactChoice best = best_compact_schedule(k, payload);
+    const util::Seconds quiet = best.cost;
+    const coll::Schedule routes =
+        remap_onto_hosts(best.schedule, participants, cluster_.num_hosts());
     const std::optional<util::Seconds> quiet_step =
         timer_.time_step(routes, 0, payload);
     const std::optional<util::Seconds> busy_end =
@@ -531,21 +548,26 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
     return config_.max_concurrent == 0 || active_ < config_.max_concurrent;
   }
 
+  /// A baseline all-reduce among compact ranks 0..k-1 and its alpha-beta
+  /// run time under this cluster's parameters.
+  struct CompactChoice {
+    coll::Schedule schedule;
+    util::Seconds cost;
+  };
+
   /// Cheapest of the baseline all-reduces for k ranks under this cluster's
   /// alpha-beta parameters: chunked ring (bandwidth-optimal) vs recursive
   /// doubling (latency-optimal; only a candidate at power-of-two k, where
   /// it needs no fold/unfold steps).
-  [[nodiscard]] coll::Schedule best_compact_schedule(std::uint32_t k,
-                                                     util::Bytes payload) const {
-    coll::Schedule ring = coll::ring_allreduce(k);
-    if ((k & (k - 1)) != 0) return ring;
-    coll::Schedule doubling = coll::recursive_doubling(k);
+  [[nodiscard]] CompactChoice best_compact_schedule(std::uint32_t k,
+                                                    util::Bytes payload) const {
     const coll::AlphaBetaParams ab = elec::alpha_beta_for(cluster_);
-    const util::Seconds ring_cost =
-        coll::alpha_beta_cost(ring, payload, ab).total;
-    const util::Seconds doubling_cost =
-        coll::alpha_beta_cost(doubling, payload, ab).total;
-    return doubling_cost < ring_cost ? std::move(doubling) : std::move(ring);
+    CompactChoice ring{coll::ring_allreduce(k), {}};
+    ring.cost = coll::alpha_beta_cost(ring.schedule, payload, ab).total;
+    if ((k & (k - 1)) != 0) return ring;
+    CompactChoice doubling{coll::recursive_doubling(k), {}};
+    doubling.cost = coll::alpha_beta_cost(doubling.schedule, payload, ab).total;
+    return doubling.cost < ring.cost ? std::move(doubling) : std::move(ring);
   }
 
   /// best_compact_schedule for `participants`, written onto their ring ids.
@@ -554,7 +576,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
       util::Bytes payload) const {
     return remap_onto_hosts(
         best_compact_schedule(static_cast<std::uint32_t>(participants.size()),
-                              payload),
+                              payload)
+            .schedule,
         participants, cluster_.num_hosts());
   }
 
@@ -671,8 +694,9 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   }
 
   elec::ElectricalCluster cluster_;
-  /// Quiet-network scratch timer (reset per step).  Mutable because the
-  /// const routing probe predict_completion also needs a quiet baseline.
+  /// Quiet-network scratch timer (reset per step; remembers the last step it
+  /// ran).  Mutable because the const routing probe predict_completion also
+  /// needs a quiet baseline.
   mutable elec::StepFlowTimer timer_;
   ElectricalFallbackConfig config_;
   /// Engaged only for kTwoLevelShared.
@@ -688,6 +712,8 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   std::uint32_t hosts_down_ = 0;
   std::vector<bool> quarantined_;
   std::uint32_t active_ = 0;
+  /// predict_makespan's memo, at most kPredictionCacheCap entries.
+  static constexpr std::size_t kPredictionCacheCap = 256;
   mutable std::map<std::pair<std::uint32_t, std::uint64_t>, util::Seconds>
       prediction_cache_;
 };

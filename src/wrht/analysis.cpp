@@ -52,7 +52,8 @@ std::string WrhtAnalysis::report() const {
   out += ")\n";
   out += "  lambdas per step    :";
   for (const std::uint32_t l : lambda_per_step) {
-    out += " " + std::to_string(l);
+    out += " ";
+    out += std::to_string(l);
   }
   out += "\n";
   out += "  traffic @" + util::to_string(probe_payload) + "  : " +

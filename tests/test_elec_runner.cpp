@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "coll/algorithms.hpp"
 #include "elec/alphabeta.hpp"
 
@@ -179,8 +184,9 @@ TEST(Runner, IncrementalStepTimingAgreesWithWholeSchedule) {
 }
 
 TEST(Runner, StepFlowTimerIsReusableOutOfOrder) {
-  // The timer carries no cross-step state (each step runs on a reset
-  // network), so steps may be timed in any order and even repeatedly.
+  // Each step runs on a reset network (the memo of the last flow list only
+  // skips re-running an identical one), so steps may be timed in any order
+  // and even repeatedly.
   const std::uint32_t n = 4;
   const ElectricalCluster cluster = ElectricalCluster::star(n, test_params());
   const coll::Schedule schedule = coll::ring_allreduce(n);
@@ -195,6 +201,99 @@ TEST(Runner, StepFlowTimerIsReusableOutOfOrder) {
   EXPECT_EQ(*first, *first_again);
   EXPECT_GT(*first, util::Seconds(0.0));
   EXPECT_GT(*last, util::Seconds(0.0));
+}
+
+std::uint64_t bits(util::Seconds t) {
+  return std::bit_cast<std::uint64_t>(t.value());
+}
+
+/// One step of full-payload transfers between the listed host pairs of a
+/// 16-host id space, in list order.
+coll::Schedule one_step(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
+  coll::Schedule schedule("pairs", 16, 1);
+  schedule.add_step();
+  for (const auto& [src, dst] : pairs) {
+    schedule.add_transfer({src, dst, 0, coll::TransferOp::kReduce});
+  }
+  return schedule;
+}
+
+TEST(Runner, QuietMemoAnswersOnlyTheIdenticalFlowList) {
+  // StepFlowTimer remembers the last flow list it ran and its makespan.
+  // Repeats interleave with near misses — one byte more, the same flows in
+  // another order — and with another schedule whose step is the identical
+  // list, on an oversubscribed tree where the flows contend.  Every answer
+  // must equal a fresh timer's bit for bit, and only an identical list may
+  // skip the forward run.
+  const ElectricalCluster cluster =
+      *ElectricalCluster::two_level_tree(16, 4, 4.0, test_params());
+  const coll::Schedule base = one_step({{0, 4}, {1, 8}, {2, 5}, {12, 3}});
+  const coll::Schedule reordered = one_step({{1, 8}, {0, 4}, {2, 5}, {12, 3}});
+  const coll::Schedule twin = one_step({{0, 4}, {1, 8}, {2, 5}, {12, 3}});
+  const coll::Schedule ring = coll::ring_allreduce(16);
+  const Bytes payload(3'000'001);
+  const Bytes wider = payload + Bytes(1);
+  struct Ask {
+    const coll::Schedule* schedule;
+    std::size_t step;
+    Bytes payload;
+    bool remembered;
+  };
+  const std::vector<Ask> asks = {
+      {&base, 0, payload, false},     {&base, 0, payload, true},
+      {&base, 0, wider, false},       {&base, 0, wider, true},
+      {&reordered, 0, wider, false},  {&base, 0, wider, false},
+      {&twin, 0, wider, true},        {&ring, 3, payload, false},
+      {&ring, 3, payload, true},      {&ring, 4, payload, false},
+      {&base, 0, payload, false},
+  };
+  StepFlowTimer timer(cluster);
+  for (std::size_t i = 0; i < asks.size(); ++i) {
+    const Ask& ask = asks[i];
+    const std::uint64_t runs = timer.forward_runs();
+    const std::optional<util::Seconds> memo =
+        timer.time_step(*ask.schedule, ask.step, ask.payload);
+    const std::optional<util::Seconds> fresh =
+        StepFlowTimer(cluster).time_step(*ask.schedule, ask.step, ask.payload);
+    ASSERT_TRUE(memo && fresh) << "ask " << i;
+    EXPECT_EQ(bits(*memo), bits(*fresh)) << "ask " << i;
+    EXPECT_EQ(timer.forward_runs() - runs, ask.remembered ? 0u : 1u)
+        << "ask " << i;
+  }
+  // A refused request neither runs nor disturbs the remembered list.
+  const std::uint64_t runs = timer.forward_runs();
+  EXPECT_FALSE(timer.time_step(base, 1, payload));
+  EXPECT_TRUE(timer.time_step(base, 0, payload).has_value());
+  EXPECT_EQ(timer.forward_runs(), runs);
+}
+
+TEST(Runner, WholeScheduleRunMatchesFreshPerStepTimers) {
+  // run_on_electrical times every step on one memoizing timer; each
+  // duration must equal a fresh timer's, including a schedule whose
+  // consecutive steps repeat the identical flow list (a memo hit inside
+  // the run) and the contended steps of the oversubscribed tree.
+  const ElectricalCluster cluster =
+      *ElectricalCluster::two_level_tree(16, 4, 4.0, test_params());
+  coll::Schedule repeated("repeated", 16, 1);
+  for (int s = 0; s < 3; ++s) {
+    repeated.add_step();
+    repeated.add_transfer({0, 4, 0, coll::TransferOp::kReduce});
+    repeated.add_transfer({1, 12, 0, coll::TransferOp::kReduce});
+  }
+  const Bytes payload(7'777'777);
+  for (const coll::Schedule& schedule :
+       {coll::ring_allreduce(16), coll::recursive_doubling(16), repeated}) {
+    const ElecRunResult whole = run_on_electrical(schedule, cluster, payload);
+    ASSERT_EQ(whole.step_durations.size(), schedule.num_steps());
+    for (std::size_t s = 0; s < schedule.num_steps(); ++s) {
+      const std::optional<util::Seconds> fresh =
+          StepFlowTimer(cluster).time_step(schedule, s, payload);
+      ASSERT_TRUE(fresh.has_value());
+      EXPECT_EQ(bits(whole.step_durations[s]), bits(*fresh))
+          << schedule.name() << " step " << s;
+    }
+  }
 }
 
 TEST(Runner, StepFlowTimerRejectsOutOfRangeStep) {

@@ -3,17 +3,22 @@
 // mechanics (a tenant joining an oversubscribed uplink slows the tenants
 // already on it, surfaced as retimings), the quiet-fabric degenerate cases
 // (disjoint ToR-contained tenants neither contend nor retime each other
-// materially), the whole-horizon replay oracle, rejected inputs, and the
-// FlowNetwork seams it is built on (run_until, clone_live, per-link peaks).
+// materially), the whole-horizon replay oracle, rejected inputs, begin_step
+// adopting a fresh probe's forward run, and the FlowNetwork seams it is
+// built on (run_until, clone_live, per-link peaks).
 #include "elec/shared_fabric.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "coll/algorithms.hpp"
 #include "elec/schedule_runner.hpp"
+#include "util/random.hpp"
 
 namespace wrht::elec {
 namespace {
@@ -190,6 +195,159 @@ TEST(SharedFabric, RejectsBadRequests) {
   const auto other = shared.open_session();
   shared.close_session(other, *end);
   EXPECT_FALSE(shared.begin_step(other, schedule, 0, payload, *end));
+}
+
+std::uint64_t bits(Seconds t) {
+  return std::bit_cast<std::uint64_t>(t.value());
+}
+
+/// A random multi-step tenant schedule over the 16 hosts of a 4:1 tree:
+/// 1-4 steps of 1-4 host-to-host transfers each, mostly crossing ToRs.
+coll::Schedule random_schedule(util::Rng& rng) {
+  coll::Schedule schedule("tenant", 16, 1);
+  const std::uint64_t steps = 1 + rng.next_below(4);
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    schedule.add_step();
+    const std::uint64_t transfers = 1 + rng.next_below(4);
+    for (std::uint64_t t = 0; t < transfers; ++t) {
+      const auto src = static_cast<std::uint32_t>(rng.next_below(16));
+      const auto dst =
+          static_cast<std::uint32_t>((src + 1 + rng.next_below(15)) % 16);
+      schedule.add_transfer({src, dst, 0, coll::TransferOp::kReduce});
+    }
+  }
+  return schedule;
+}
+
+TEST(SharedFabric, AdoptedProbeMatchesFreshForwardRunBitwise) {
+  // Two timers serve the same seeded tenant sequence on a 4:1 tree.
+  // `probing` asks predict_step_completion before every begin_step: mostly
+  // a fresh probe of exactly that step, sometimes a stale one (another
+  // step, instant, or payload, or a close_session in between).  `plain`
+  // never probes, so every begin_step makes its own forward run.  The
+  // adopted probe must change nothing — begin_step returns, retimings,
+  // in-flight ends and the replay all agree bit for bit — and forward_runs
+  // shows the reuse fired exactly when the probe was fresh.
+  const ElectricalCluster cluster =
+      *ElectricalCluster::two_level_tree(16, 4, 4.0, test_params());
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    util::Rng rng(seed);
+    SharedFabricTimer probing(cluster);
+    SharedFabricTimer plain(cluster);
+    struct Tenant {
+      coll::Schedule schedule;
+      Bytes payload;
+      SharedFabricTimer::SessionId session = 0;
+      std::size_t next_step = 0;
+      Seconds ready{0.0};
+      bool done = false;
+    };
+    std::vector<Tenant> tenants;
+    for (int i = 0; i < 24; ++i) {
+      Tenant tenant{random_schedule(rng),
+                    Bytes(100'000 + rng.next_below(20'000'000))};
+      tenant.session = probing.open_session();
+      ASSERT_EQ(plain.open_session(), tenant.session);
+      tenant.ready = Seconds(0.04 * rng.next_double());
+      tenants.push_back(std::move(tenant));
+    }
+
+    std::uint64_t fresh = 0;
+    std::uint64_t stale = 0;
+    while (true) {
+      Tenant* due = nullptr;
+      for (Tenant& tenant : tenants) {
+        if (!tenant.done && (due == nullptr || tenant.ready < due->ready)) {
+          due = &tenant;
+        }
+      }
+      if (due == nullptr) break;
+      const Seconds now = due->ready;
+      if (due->next_step == due->schedule.num_steps()) {
+        probing.close_session(due->session, now);
+        plain.close_session(due->session, now);
+        due->done = true;
+        continue;
+      }
+
+      const std::size_t step = due->next_step;
+      // The probe: this very step, or (kind 6-8) another step, instant or
+      // payload; kind 9 probes this step but closes a session before
+      // begin_step.
+      const std::uint64_t kind = rng.next_below(10);
+      std::size_t probe_step = step;
+      Seconds probe_at = now;
+      Bytes probe_payload = due->payload;
+      if (kind == 6) probe_step = (step + 1) % due->schedule.num_steps();
+      if (kind == 7) probe_at = now + Seconds(1e-6);
+      if (kind == 8) probe_payload = due->payload + Bytes(1);
+      const std::optional<Seconds> probe = probing.predict_step_completion(
+          due->schedule, probe_step, probe_payload, probe_at);
+      ASSERT_TRUE(probe.has_value());
+      if (kind == 9) {  // an idle session, closed only to move the fabric
+        const SharedFabricTimer::SessionId idle = probing.open_session();
+        ASSERT_EQ(plain.open_session(), idle);
+        probing.close_session(idle, now);
+        plain.close_session(idle, now);
+      }
+      // Fresh = same instant, no close in between, and the identical
+      // ordered flow list (another step may happen to carry the same one).
+      std::vector<StepFlow> probed;
+      std::vector<StepFlow> placed;
+      step_flows(due->schedule, probe_step, probe_payload, probed);
+      step_flows(due->schedule, step, due->payload, placed);
+      const bool is_fresh = kind != 9 && probe_at == now && probed == placed;
+      ++(is_fresh ? fresh : stale);
+
+      const std::uint64_t probing_runs = probing.forward_runs();
+      const std::uint64_t plain_runs = plain.forward_runs();
+      const std::optional<Seconds> end =
+          probing.begin_step(due->session, due->schedule, step, due->payload,
+                             now);
+      const std::optional<Seconds> reference =
+          plain.begin_step(due->session, due->schedule, step, due->payload,
+                           now);
+      ASSERT_TRUE(end && reference) << "seed " << seed << " t=" << now.value();
+      EXPECT_EQ(bits(*end), bits(*reference));
+      EXPECT_EQ(plain.forward_runs() - plain_runs, 1u);
+      EXPECT_EQ(probing.forward_runs() - probing_runs, is_fresh ? 0u : 1u)
+          << "probe kind " << kind;
+      // The probe's answer IS the placed step's completion when fresh.
+      if (is_fresh) {
+        EXPECT_EQ(bits(*probe), bits(*end));
+      }
+
+      const auto retimed = probing.take_retimings();
+      const auto retimed_plain = plain.take_retimings();
+      ASSERT_EQ(retimed.size(), retimed_plain.size());
+      for (std::size_t r = 0; r < retimed.size(); ++r) {
+        EXPECT_EQ(retimed[r].session, retimed_plain[r].session);
+        EXPECT_EQ(bits(retimed[r].end), bits(retimed_plain[r].end));
+        for (Tenant& tenant : tenants) {
+          if (tenant.session == retimed[r].session) {
+            tenant.ready = retimed[r].end;
+          }
+        }
+      }
+      const std::vector<Seconds> ends = probing.inflight_predicted_ends();
+      const std::vector<Seconds> ends_plain = plain.inflight_predicted_ends();
+      ASSERT_EQ(ends.size(), ends_plain.size());
+      for (std::size_t e = 0; e < ends.size(); ++e) {
+        EXPECT_EQ(bits(ends[e]), bits(ends_plain[e]));
+      }
+      due->ready = *end;
+      ++due->next_step;
+    }
+    EXPECT_GT(fresh, 0u);
+    EXPECT_GT(stale, 0u);
+    EXPECT_EQ(probing.active_sessions(), 0u);
+    EXPECT_EQ(probing.logged_steps(), plain.logged_steps());
+    EXPECT_EQ(probing.verify_replay(), 0u);
+    EXPECT_EQ(plain.verify_replay(), 0u);
+    // Every probe ran forward once; every begin_step ran once unless it
+    // adopted a fresh probe.
+    EXPECT_EQ(probing.forward_runs(), plain.forward_runs() + stale);
+  }
 }
 
 TEST(FlowNetwork, RunUntilSplitsMatchOneShotRun) {
