@@ -17,9 +17,9 @@
 //    quiet-network time) climbs with the factor, while the exclusive star
 //    would have claimed nothing happened.
 //
-// Every shared-fabric step is re-proven at end of run by the whole-horizon
-// flow-replay oracle (the runtime aborts on any disagreement, and the
-// report counts the audited steps).
+// Every shared-fabric step is re-proven by the epoch flow-replay oracle
+// (the runtime aborts on any disagreement, and the report counts the
+// audited steps).
 //
 //   $ ./bench/electrical_contention
 #include <algorithm>

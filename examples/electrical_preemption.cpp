@@ -12,8 +12,7 @@
 // its hosts, resumes immediately on free hosts across the fabric while the
 // urgent job still runs, and the whole interleaving is re-proven by both
 // oracles (the composite all-reduce oracle over the executed prefix plus
-// remapped remainder, and the whole-horizon flow replay of every logged
-// route).
+// remapped remainder, and the epoch flow replay of every logged route).
 //
 //   $ ./examples/electrical_preemption
 #include <cstdio>

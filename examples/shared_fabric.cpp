@@ -9,8 +9,8 @@
 // in-flight electrical step together under max-min fairness,
 // step-completion events are re-scheduled as tenants join (step_retimed
 // trace events), each job reports its contention slowdown (shared-fabric
-// time / quiet-network time), and the whole-horizon flow replay re-proves
-// every step time at the end of the run.
+// time / quiet-network time), and the epoch flow replay re-proves every
+// step time, each idle-to-idle epoch as it closes.
 //
 //   $ ./examples/shared_fabric [--trace-out=trace.json]
 //                              [--metrics-out=metrics.json]

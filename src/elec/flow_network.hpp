@@ -89,6 +89,9 @@ class FlowNetwork {
   util::Seconds run_until(util::Seconds horizon);
 
   [[nodiscard]] util::Seconds now() const { return now_; }
+  /// True when no flow is waiting or active: the network holds no state a
+  /// later flow's timing reads beyond the clock.
+  [[nodiscard]] bool idle() const { return live_.empty(); }
   [[nodiscard]] bool completed(FlowId flow) const;
   [[nodiscard]] util::Seconds completion_time(FlowId flow) const;
   /// Cumulative bytes carried by a link since construction/reset.

@@ -18,6 +18,8 @@ SharedFabricTimer::SharedFabricTimer(const ElectricalCluster& cluster,
 void SharedFabricTimer::attach_metrics(obs::MetricsRegistry& registry) {
   steps_timed_ = registry.counter("fabric.steps_timed");
   retimings_emitted_ = registry.counter("fabric.retimings");
+  replay_epochs_ = registry.counter("fabric.replay_epochs");
+  replay_peak_held_ = registry.gauge("fabric.replay_peak_held_steps");
   uplink_utilization_ = registry.sampled_gauge("electrical.uplink_utilization");
 }
 
@@ -43,9 +45,8 @@ std::size_t SharedFabricTimer::active_sessions() const {
   return open_sessions_.size();
 }
 
-void SharedFabricTimer::finalize_step(SessionId session_id) {
-  Session& session = sessions_[session_id];
-  if (!session.has_step) return;
+util::Seconds SharedFabricTimer::drained_end(SessionId session_id) const {
+  const Session& session = sessions_[session_id];
   util::Seconds end = session.step_start;
   for (const FlowId flow : session.inflight) {
     WRHT_CHECK(network_.completed(flow),
@@ -54,13 +55,69 @@ void SharedFabricTimer::finalize_step(SessionId session_id) {
                    << session_id << " step " << session.step_number << ")");
     end = std::max(end, network_.completion_time(flow));
   }
+  return end;
+}
+
+void SharedFabricTimer::finalize_step(SessionId session_id) {
+  Session& session = sessions_[session_id];
+  if (!session.has_step) return;
+  const util::Seconds end = drained_end(session_id);
   if (audit_) {
-    LoggedStep& logged = steps_[session.current_step];
-    logged.end = end;
-    logged.finalized = true;
+    if (session.current_step < dropped_steps_) {
+      // Its epoch closed while it sat drained: already checked against
+      // this very end (the same flows' recorded completions).
+      WRHT_CHECK(drained_unfinalized_ > 0,
+                 "SharedFabricTimer: session " << session_id
+                     << " folds a step no closed epoch checked");
+      --drained_unfinalized_;
+    } else {
+      LoggedStep& logged = steps_[session.current_step - dropped_steps_];
+      logged.end = end;
+      logged.finalized = true;
+    }
   }
   session.inflight.clear();
   session.has_step = false;
+}
+
+void SharedFabricTimer::log_advance(util::Seconds time) {
+  if (!audit_) return;
+  ops_.push_back(LoggedOp{time, -1});
+  if (network_.idle()) close_epoch();
+}
+
+void SharedFabricTimer::close_epoch() {
+  if (!steps_.empty()) {
+    // Every logged step has drained.  A session whose completion event has
+    // not fired yet still holds its step (its flows are not retired while
+    // it does), so its end is read now with finalize_step's formula.
+    for (const SessionId id : open_sessions_) {
+      const Session& session = sessions_[id];
+      if (!session.has_step || session.current_step < dropped_steps_) {
+        continue;
+      }
+      LoggedStep& logged = steps_[session.current_step - dropped_steps_];
+      logged.end = drained_end(id);
+      logged.finalized = true;
+      ++drained_unfinalized_;
+    }
+    if (replay_.num_links() == 0) {
+      replay_ = cluster_->make_network();  // built on the first close
+    } else {
+      replay_.reset();
+    }
+    const Verdict verdict = replay_log(replay_);
+    closed_mismatches_ += verdict.mismatches;
+    closed_checked_ += verdict.checked;
+    dropped_steps_ += steps_.size();
+    ++epochs_closed_;
+    obs::inc(replay_epochs_);
+  }
+  // The advances of an empty log only move an idle clock, which the next
+  // epoch's first op sets anyway.
+  steps_.clear();
+  flows_.clear();
+  ops_.clear();
 }
 
 std::optional<util::Seconds> SharedFabricTimer::begin_step(
@@ -81,7 +138,7 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
   // The advance itself is logged unconditionally — the replay oracle must
   // split its advances exactly where the live network split them, even when
   // the request dies on the completion check below.
-  if (audit_) ops_.push_back(LoggedOp{now, -1});
+  log_advance(now);
   if (session.has_step) {
     for (const FlowId flow : session.inflight) {
       if (!network_.completed(flow)) return std::nullopt;
@@ -91,11 +148,7 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
 
   step_flows(schedule, step, payload, pending_);
   const bool adopt = probed && probe_.now == now && probe_.flows == pending_;
-  LoggedStep logged;
-  logged.session = session_id;
-  logged.step = static_cast<std::uint64_t>(step);
-  logged.start = now;
-  session.current_step = steps_.size();
+  session.current_step = logged_steps();
   session.step_start = now;
   session.step_number = static_cast<std::uint64_t>(step);
   for (const StepFlow& flow : pending_) {
@@ -104,21 +157,26 @@ std::optional<util::Seconds> SharedFabricTimer::begin_step(
   }
   session.has_step = !session.inflight.empty();
   if (audit_) {
-    logged.flows = pending_;
+    LoggedStep logged;
+    logged.start = now;
+    logged.first_flow = static_cast<std::uint32_t>(flows_.size());
+    logged.num_flows = static_cast<std::uint32_t>(pending_.size());
+    // A flow-less step (e.g. a barrier round another group participates in)
+    // completes instantly.
+    logged.end = now;
+    logged.finalized = !session.has_step;
+    flows_.insert(flows_.end(), pending_.begin(), pending_.end());
     ops_.push_back(LoggedOp{now, static_cast<std::ptrdiff_t>(steps_.size())});
-    steps_.push_back(std::move(logged));
+    steps_.push_back(logged);
+    peak_held_steps_ = std::max<std::uint64_t>(peak_held_steps_,
+                                               steps_.size());
+    obs::set_max(replay_peak_held_, static_cast<double>(steps_.size()));
   }
   obs::inc(steps_timed_);
   publish_utilization();
 
   if (!session.has_step) {
-    // A flow-less step (e.g. a barrier round another group participates in)
-    // completes instantly; nobody else's sharing changed.
-    if (audit_) {
-      LoggedStep& empty = steps_[session.current_step];
-      empty.end = now;
-      empty.finalized = true;
-    }
+    // Nobody else's sharing changed.
     session.predicted_end = now;
     retire_drained();
     return now;
@@ -228,7 +286,7 @@ void SharedFabricTimer::close_session(SessionId session_id,
   Session& session = sessions_[session_id];
   probe_.fresh = false;
   network_.run_until(std::max(now, network_.now()));
-  if (audit_) ops_.push_back(LoggedOp{network_.now(), -1});
+  log_advance(network_.now());
   finalize_step(session_id);
   session.open = false;
   const auto it = std::lower_bound(open_sessions_.begin(),
@@ -266,34 +324,42 @@ std::vector<double> SharedFabricTimer::link_peak_utilization() const {
   return peaks;
 }
 
-std::uint64_t SharedFabricTimer::verify_replay() const {
-  FlowNetwork replay = cluster_->make_network();
-  std::vector<std::vector<FlowId>> replay_ids(steps_.size());
+SharedFabricTimer::Verdict SharedFabricTimer::replay_log(
+    FlowNetwork& replay) const {
+  // The replay network numbers flows from 0 in injection order, and flows_
+  // holds the epoch's flows in exactly that order: log flow i is replay
+  // flow i.
   for (const LoggedOp& op : ops_) {
     replay.run_until(op.time);
     if (op.step < 0) continue;
     const LoggedStep& logged = steps_[static_cast<std::size_t>(op.step)];
-    for (const StepFlow& flow : logged.flows) {
-      replay_ids[static_cast<std::size_t>(op.step)].push_back(
-          replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes));
+    for (std::uint32_t i = 0; i < logged.num_flows; ++i) {
+      const StepFlow& flow = flows_[logged.first_flow + i];
+      replay.add_flow(cluster_->route(flow.src, flow.dst), flow.bytes);
     }
   }
-  replay.run();  // drains nothing on a fully-closed log
+  replay.run();  // drains nothing on a closed epoch
 
-  std::uint64_t mismatches = 0;
-  for (std::size_t s = 0; s < steps_.size(); ++s) {
-    const LoggedStep& logged = steps_[s];
+  Verdict verdict;
+  for (const LoggedStep& logged : steps_) {
+    ++verdict.checked;
     if (!logged.finalized) {
-      ++mismatches;
+      ++verdict.mismatches;
       continue;
     }
     util::Seconds end = logged.start;
-    for (const FlowId flow : replay_ids[s]) {
-      end = std::max(end, replay.completion_time(flow));
+    for (std::uint32_t i = 0; i < logged.num_flows; ++i) {
+      end = std::max(end, replay.completion_time(logged.first_flow + i));
     }
-    if (end != logged.end) ++mismatches;
+    if (end != logged.end) ++verdict.mismatches;
   }
-  return mismatches;
+  return verdict;
+}
+
+std::uint64_t SharedFabricTimer::verify_replay() const {
+  FlowNetwork tail = cluster_->make_network();
+  return closed_mismatches_ + drained_unfinalized_ +
+         replay_log(tail).mismatches;
 }
 
 }  // namespace wrht::elec

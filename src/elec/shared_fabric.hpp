@@ -35,11 +35,19 @@
 // Anything else falls back to a forward run of the real fabric.
 // forward_runs() counts the runs actually made.
 //
-// Correctness is anchored by a whole-horizon replay oracle: the timer logs
-// every advance point and every injected flow, and verify_replay() re-runs
-// the identical operation sequence on a FRESH FlowNetwork — the per-step
-// completion times must reproduce the incremental timer's exactly (the same
-// arithmetic in the same order, so equality is bitwise, not approximate).
+// Correctness is anchored by a replay oracle: the timer logs every advance
+// point and every injected flow, and re-runs the identical operation
+// sequence on a network that starts empty — the per-step completion times
+// must reproduce the incremental timer's exactly (the same arithmetic in the
+// same order, so equality is bitwise, not approximate).  The log is audited
+// in epochs.  An epoch ends at each logged advance after which the shared
+// network holds no waiting or active flow: a drained network keeps nothing
+// a later flow's timing reads except its clock, so the next epoch replays
+// on a reset network advanced to its first op, exactly as the whole-horizon
+// replay would have continued.  At that point the epoch is replayed, every
+// step end compared bitwise, the verdict added to running totals, and the
+// epoch's log dropped.  The log held at once is therefore one epoch long,
+// not the whole run; a fabric that is never idle degrades to one epoch.
 #pragma once
 
 #include <cstddef>
@@ -64,19 +72,21 @@ class SharedFabricTimer {
  public:
   using SessionId = std::uint32_t;
 
-  /// `cluster` must outlive the timer.  `replay_audit` keeps the
-  /// whole-horizon replay log (every advance + flow injection) that
-  /// verify_replay() re-proves the incremental timing against; the log is
-  /// O(total steps), so streaming front ends serving millions of jobs may
-  /// turn it off — verify_replay() then has nothing to check and returns 0.
-  /// Timing is bit-identical either way.
+  /// `cluster` must outlive the timer.  `replay_audit` keeps the replay log
+  /// (every advance + flow injection) that the epoch audit and
+  /// verify_replay() re-prove the incremental timing against.  The log holds
+  /// one idle-to-idle epoch at a time (peak_held_steps()), not the whole
+  /// run.  With the audit off nothing is logged, and verify_replay() has
+  /// nothing to check and returns 0.  Timing is bit-identical either way.
   explicit SharedFabricTimer(const ElectricalCluster& cluster,
                              bool replay_audit = true);
 
   /// Register the timer's metrics with `registry`: steps-timed and
-  /// retiming counters, plus the "electrical.uplink_utilization" sampled
-  /// gauge (utilization of the currently-hottest fabric link, refreshed on
-  /// every injection/close).  The registry must outlive the timer.
+  /// retiming counters, the replay audit's closed epochs and peak held log
+  /// ("fabric.replay_epochs", "fabric.replay_peak_held_steps"), plus the
+  /// "electrical.uplink_utilization" sampled gauge (utilization of the
+  /// currently-hottest fabric link, refreshed on every injection/close).
+  /// The registry must outlive the timer.
   void attach_metrics(obs::MetricsRegistry& registry);
 
   /// Register a tenant execution.  Sessions are cheap; one per execution.
@@ -145,30 +155,45 @@ class SharedFabricTimer {
   /// shared network since construction.  Indexed by the cluster's link ids.
   [[nodiscard]] std::vector<double> link_peak_utilization() const;
 
-  /// Steps logged so far (finalized or in flight).
+  /// Steps logged so far (finalized or in flight), closed epochs included.
   [[nodiscard]] std::uint64_t logged_steps() const {
-    return static_cast<std::uint64_t>(steps_.size());
+    return dropped_steps_ + steps_.size();
   }
 
-  /// The whole-horizon oracle: replay every logged advance and flow
-  /// injection, in order, into a fresh FlowNetwork and compare each
-  /// finalized step's completion time with the incremental result.
-  /// Returns the number of steps that disagree (0 on a correct timer);
-  /// steps never finalized (session left open) also count.
+  /// Steps the audit re-proves: every step of a closed epoch, plus the
+  /// open tail that verify_replay() replays.  Equals logged_steps() unless
+  /// the audit skipped a step.
+  [[nodiscard]] std::uint64_t checked_steps() const {
+    return closed_checked_ + steps_.size();
+  }
+
+  /// Idle-to-idle epochs the audit has replayed and dropped from the log
+  /// (epochs holding at least one step).  A deterministic work counter.
+  [[nodiscard]] std::uint64_t epochs_closed() const { return epochs_closed_; }
+
+  /// Most steps the replay log has held at once: the longest epoch so far.
+  /// A deterministic work counter.
+  [[nodiscard]] std::uint64_t peak_held_steps() const {
+    return peak_held_steps_;
+  }
+
+  /// The oracle's verdict: the closed epochs' mismatches plus a replay of
+  /// the open tail on a fresh FlowNetwork, comparing each finalized step's
+  /// completion time with the incremental result.  Returns the number of
+  /// steps that disagree (0 on a correct timer); steps never finalized
+  /// (session left open) also count, whichever epoch they closed in.
   [[nodiscard]] std::uint64_t verify_replay() const;
 
  private:
   struct LoggedStep {
-    SessionId session = 0;
-    std::uint64_t step = 0;
     util::Seconds start{0.0};
     /// Authoritative completion, read back from the shared network once the
     /// step's flows have drained (predictions may sit an ulp away).
     util::Seconds end{0.0};
     bool finalized = false;
-    /// Host pairs, not route copies: the replay re-derives each route from
-    /// the cluster's route table, the same table the live injection read.
-    std::vector<StepFlow> flows;
+    /// The step's flows are flows_[first_flow, first_flow + num_flows).
+    std::uint32_t first_flow = 0;
+    std::uint32_t num_flows = 0;
   };
   /// One advance of the shared network, optionally followed by a step's
   /// flow injections.  The replay oracle re-runs exactly this sequence, so
@@ -177,11 +202,18 @@ class SharedFabricTimer {
     util::Seconds time{0.0};
     std::ptrdiff_t step = -1;  // index into steps_, -1 = pure advance
   };
+  /// A replay's verdict on the logged epoch.
+  struct Verdict {
+    std::uint64_t mismatches = 0;
+    std::uint64_t checked = 0;
+  };
   struct Session {
     bool open = false;
     /// FlowNetwork ids of the current step's flows, ascending.
     std::vector<FlowId> inflight;
-    std::size_t current_step = 0;  // index into steps_ (valid iff audited)
+    /// Run-wide ordinal of the current step in the log (valid iff audited):
+    /// steps_[current_step - dropped_steps_] while its epoch is open.
+    std::uint64_t current_step = 0;
     bool has_step = false;
     /// Start/ordinal of the in-flight step, kept on the session itself so
     /// reprediction never needs the (optional) replay log.
@@ -190,10 +222,22 @@ class SharedFabricTimer {
     util::Seconds predicted_end{0.0};
   };
 
-  /// Fold the session's in-flight step into the log: every flow must have
-  /// completed on the shared network (aborts otherwise — a step boundary
-  /// fired before its flows drained, which the retiming contract forbids).
+  /// The session's in-flight step's completion on the shared network: every
+  /// flow must have completed (aborts otherwise — a step boundary fired
+  /// before its flows drained, which the retiming contract forbids).
+  [[nodiscard]] util::Seconds drained_end(SessionId session_id) const;
+  /// Fold the session's in-flight step into the log, or into the closed
+  /// epochs' totals when its epoch closed while the step sat drained.
   void finalize_step(SessionId session_id);
+  /// Log an advance of the shared network to `time`; close the epoch if the
+  /// network is idle after it.
+  void log_advance(util::Seconds time);
+  /// Replay the open epoch, add its verdict to the running totals, and drop
+  /// its log.  Only at an idle advance: every logged step has drained.
+  void close_epoch();
+  /// Replay the open epoch's log on `replay` (empty, clock at 0) and compare
+  /// every step's completion bitwise with the logged one.
+  [[nodiscard]] Verdict replay_log(FlowNetwork& replay) const;
   /// The last probe's forward run: the clone run to drain, and the map from
   /// a real flow id (minus the id floor) to its id in that clone — the
   /// flows live at the probe, then the probed step's flows in injection
@@ -226,8 +270,26 @@ class SharedFabricTimer {
   /// Ids of open sessions, ascending — the working set repredict() and the
   /// retirement floor walk instead of every session ever opened.
   std::vector<SessionId> open_sessions_;
+  /// The open epoch's log: its steps, their flows in injection order (host
+  /// pairs, not route copies: the replay re-derives each route from the
+  /// cluster's route table, the same table the live injection read), and
+  /// its advances.
   std::vector<LoggedStep> steps_;
+  std::vector<StepFlow> flows_;
   std::vector<LoggedOp> ops_;
+  /// The network each closed epoch replays on, built by the first close and
+  /// reset before each later one.
+  FlowNetwork replay_;
+  /// Running audit totals over the closed epochs.
+  std::uint64_t dropped_steps_ = 0;
+  std::uint64_t closed_checked_ = 0;
+  std::uint64_t closed_mismatches_ = 0;
+  /// Steps checked at an epoch boundary while drained but not yet finalized
+  /// (their session's completion had not fired); each counts as a mismatch
+  /// until finalize_step folds it.
+  std::uint64_t drained_unfinalized_ = 0;
+  std::uint64_t epochs_closed_ = 0;
+  std::uint64_t peak_held_steps_ = 0;
   std::vector<Retiming> retimings_;
   /// Mutable: the const probe remembers its forward run for begin_step.
   mutable Probe probe_;
@@ -237,6 +299,8 @@ class SharedFabricTimer {
   /// Metric handles; nullptr (zero-overhead emission) without a registry.
   obs::Counter* steps_timed_ = nullptr;
   obs::Counter* retimings_emitted_ = nullptr;
+  obs::Counter* replay_epochs_ = nullptr;
+  obs::Gauge* replay_peak_held_ = nullptr;
   obs::Gauge* uplink_utilization_ = nullptr;
 };
 

@@ -28,9 +28,10 @@
 // make concurrent executions contend — there one SharedFabricTimer times
 // every in-flight electrical step together, step-completion events are
 // re-scheduled when other tenants change the contention (kStepRetimed),
-// and a whole-horizon flow replay re-proves every step time at the end of
-// the run.  Both timing models run on the same clock and land in one
-// report, with per-substrate breakdowns and per-job contention slowdowns.
+// and a flow replay re-proves every step time, one idle-to-idle epoch at a
+// time, the last at the end of the run.  Both timing models run on the
+// same clock and land in one report, with per-substrate breakdowns and
+// per-job contention slowdowns.
 //
 // Small same-group jobs are fused by the Batcher into a single schedule
 // (one set of per-step overheads for the whole batch), optionally after a
@@ -292,7 +293,7 @@ struct RuntimeReport {
   /// (always 0 on the exclusive star fabric).
   std::uint64_t step_retimes = 0;
   /// Steps audited by the substrates' end-of-run self checks (the shared
-  /// electrical fabric's whole-horizon flow replay).  A disagreement aborts
+  /// electrical fabric's epoch flow replay).  A disagreement aborts
   /// the process, so a returned report documents that this many steps were
   /// re-proven.
   std::uint64_t replay_checked_steps = 0;

@@ -332,12 +332,12 @@ class ExecutionSubstrate {
     (void)registry;
   }
 
-  /// End-of-run self audit.  A substrate with an independent whole-horizon
-  /// oracle (the shared electrical fabric replays every logged flow into a
-  /// fresh network) re-proves its incremental timing here and ABORTS on any
-  /// disagreement — mirroring the fatal semantics of a wavelength conflict.
-  /// Returns the number of steps audited (0 when there is nothing to
-  /// check).
+  /// End-of-run self audit.  A substrate with an independent replay oracle
+  /// (the shared electrical fabric replays every logged flow, one
+  /// idle-to-idle epoch at a time, into a network that starts empty)
+  /// re-proves its incremental timing here and ABORTS on any disagreement —
+  /// mirroring the fatal semantics of a wavelength conflict.  Returns the
+  /// number of steps audited (0 when there is nothing to check).
   [[nodiscard]] virtual std::uint64_t self_check() const { return 0; }
 
   /// Predicted completion time of a fresh `grant`-unit execution — the
@@ -454,13 +454,14 @@ struct ElectricalFallbackConfig {
   /// bandwidth (1.0 = full bisection, 4.0 = classic 4:1 oversubscription).
   std::uint32_t hosts_per_tor = 8;
   double oversubscription = 1.0;
-  /// Keep the whole-horizon flow-replay log (every injected step + every
-  /// clock advance) so self_check() can re-prove the incremental timing
-  /// against a fresh network at end of run.  The log grows with the run —
-  /// O(total steps) — which is exactly what a million-job serving benchmark
-  /// cannot afford, so streaming front ends may turn it off; self_check()
-  /// then audits nothing and returns 0.  Timing is bit-identical either
-  /// way: the flag gates only the logging.
+  /// Keep the flow-replay log (every injected step + every clock advance)
+  /// so the incremental timing is re-proven against a network that starts
+  /// empty.  The log is audited and dropped at each instant the shared
+  /// fabric goes idle, so it holds one idle-to-idle epoch, not the run;
+  /// self_check() returns the verdict over the closed epochs plus the open
+  /// tail.  Turning it off skips the replay work (self_check() then audits
+  /// nothing and returns 0).  Timing is bit-identical either way: the flag
+  /// gates only the logging.
   bool replay_audit = true;
 };
 

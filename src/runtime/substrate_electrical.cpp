@@ -19,9 +19,9 @@
 //    together on ONE elec::SharedFabricTimer: a step's completion time
 //    depends on what other tenants are sending, moves when they start
 //    (retimings re-schedule the step event on the sim clock), and is
-//    re-proven at end of run by a whole-horizon flow replay into a fresh
-//    network.  The quiet-network duration of each step is still computed
-//    (StepFlowTimer) as the denominator of the per-job contention
+//    re-proven by a flow replay into a network that starts empty, epoch by
+//    idle-to-idle epoch.  The quiet-network duration of each step is still
+//    computed (StepFlowTimer) as the denominator of the per-job contention
 //    slowdown.
 //
 // One forward run per routing decision.  The congestion-aware probe
@@ -56,9 +56,9 @@
 // and ToR faults), a dead host is quarantined the moment it is free, and the
 // resume simply remaps around it, so electrical node faults cost a suspension,
 // never data.  A ToR loss additionally asks the runtime to migrate the
-// execution to another fabric.  The shared fabric's whole-horizon replay oracle
-// covers remapped resumes for free: it replays the logged physical routes,
-// which are exactly what the remapped remainder injected.
+// execution to another fabric.  The shared fabric's replay oracle covers
+// remapped resumes for free: it replays the logged physical routes, which
+// are exactly what the remapped remainder injected.
 //
 // Per-step timing is produced one step at a time so electrical steps
 // interleave with optical tenants' events on the shared clock.
@@ -459,12 +459,12 @@ class ElectricalSubstrate final : public ExecutionSubstrate {
   [[nodiscard]] std::uint64_t self_check() const override {
     if (!shared_) return 0;
     const std::uint64_t mismatches = shared_->verify_replay();
-    // The incremental shared-fabric timing and the whole-horizon flow
-    // replay disagree: a timing bug, fatal like a wavelength conflict.
+    // The incremental shared-fabric timing and the epoch flow replay
+    // disagree: a timing bug, fatal like a wavelength conflict.
     WRHT_CHECK(mismatches == 0,
                "ElectricalSubstrate: flow-replay oracle disagrees on "
                    << mismatches << " step(s)");
-    return shared_->logged_steps();
+    return shared_->checked_steps();
   }
 
   [[nodiscard]] util::Seconds predict_makespan(

@@ -190,8 +190,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 4u, 7u, 8u, 15u, 16u, 32u, 48u),
                        ::testing::Values(1u, 2u, 4u, 7u, 8u, 64u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_g" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_g";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 TEST(Hierarchical, StepStructure) {

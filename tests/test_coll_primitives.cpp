@@ -66,8 +66,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          17u, 30u, 32u, 33u),
                        ::testing::Values(0u, 1u, 5u, 31u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_root" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_root";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 class RootlessPrimitives : public ::testing::TestWithParam<std::uint32_t> {

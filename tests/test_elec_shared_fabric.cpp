@@ -3,9 +3,12 @@
 // mechanics (a tenant joining an oversubscribed uplink slows the tenants
 // already on it, surfaced as retimings), the quiet-fabric degenerate cases
 // (disjoint ToR-contained tenants neither contend nor retime each other
-// materially), the whole-horizon replay oracle, rejected inputs, begin_step
-// adopting a fresh probe's forward run, and the FlowNetwork seams it is
-// built on (run_until, clone_live, per-link peaks).
+// materially), the epoch replay oracle (idle-to-idle epochs closed exactly
+// where the test's own model of the fabric goes idle, one epoch on a fabric
+// that never idles, a boundary crossed while a drained step awaits its
+// completion event), rejected inputs, begin_step adopting a fresh probe's
+// forward run, and the FlowNetwork seams it is built on (run_until,
+// clone_live, per-link peaks).
 #include "elec/shared_fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -348,6 +351,242 @@ TEST(SharedFabric, AdoptedProbeMatchesFreshForwardRunBitwise) {
     // adopted a fresh probe.
     EXPECT_EQ(probing.forward_runs(), plain.forward_runs() + stale);
   }
+}
+
+/// A seeded multi-tenant sequence on a 4:1 tree of 16 hosts, driven the way
+/// the runtime drives the timer: each tenant acts at its next ready instant
+/// (arrival, or its step's predicted end — moved by retimings — plus a
+/// lag), beginning its next step or closing its session.  The driver keeps
+/// its own model of when the fabric goes idle: after an advance to `now`,
+/// no in-flight step ends later than `now`.
+struct EpochRun {
+  std::uint64_t steps = 0;
+  /// Idle boundaries with at least one step logged since the previous one.
+  std::uint64_t boundaries = 0;
+  std::uint64_t longest_epoch = 0;
+  /// Boundaries crossed while another tenant's step sat drained but not
+  /// yet finalized (its completion not yet acted on).
+  std::uint64_t unfinalized_boundaries = 0;
+};
+
+struct EpochLoad {
+  int tenants = 24;
+  /// Arrivals are spread uniformly over [0, arrival_span).
+  double arrival_span = 0.0;
+  /// Probability that a tenant acts `lag` after its step's end, not at it.
+  double lag_probability = 0.0;
+  double max_lag = 0.0;
+  /// Tenant 0 runs one step long enough to outlast every other tenant.
+  bool background = false;
+};
+
+EpochRun run_epoch_load(std::uint64_t seed, const EpochLoad& load,
+                        SharedFabricTimer& shared) {
+  struct Tenant {
+    coll::Schedule schedule;
+    Bytes payload;
+    SharedFabricTimer::SessionId session = 0;
+    std::size_t next_step = 0;
+    Seconds ready{0.0};
+    Seconds lag{0.0};
+    bool in_flight = false;  // a begun step not yet acted on
+    Seconds step_end{0.0};
+    bool done = false;
+  };
+  util::Rng rng(seed);
+  std::vector<Tenant> tenants;
+  for (int i = 0; i < load.tenants; ++i) {
+    Tenant tenant{random_schedule(rng),
+                  Bytes(100'000 + rng.next_below(20'000'000))};
+    tenant.session = shared.open_session();
+    tenant.ready = Seconds(load.arrival_span * rng.next_double());
+    tenants.push_back(std::move(tenant));
+  }
+  if (load.background) {
+    // Hosts 0 and 1 share a ToR, so the flow never crosses an uplink; its
+    // 10^11 bytes take at least 100 s on a 1 GB/s access link.
+    tenants[0].schedule = coll::Schedule("background", 16, 1);
+    tenants[0].schedule.add_step();
+    tenants[0].schedule.add_transfer({0, 1, 0, coll::TransferOp::kReduce});
+    tenants[0].payload = Bytes(100'000'000'000);
+    tenants[0].ready = Seconds(0.0);
+  }
+
+  EpochRun run;
+  std::uint64_t open_epoch = 0;
+  while (true) {
+    Tenant* due = nullptr;
+    for (Tenant& tenant : tenants) {
+      if (!tenant.done && (due == nullptr || tenant.ready < due->ready)) {
+        due = &tenant;
+      }
+    }
+    if (due == nullptr) break;
+    const Seconds now = due->ready;
+
+    // Either call below first advances the fabric to `now`.
+    bool idle = true;
+    bool other_drained = false;
+    for (const Tenant& tenant : tenants) {
+      if (!tenant.in_flight) continue;
+      idle = idle && tenant.step_end <= now;
+      other_drained = other_drained || &tenant != due;
+    }
+    if (idle && open_epoch > 0) {
+      ++run.boundaries;
+      run.longest_epoch = std::max(run.longest_epoch, open_epoch);
+      open_epoch = 0;
+      if (other_drained) ++run.unfinalized_boundaries;
+    }
+
+    due->in_flight = false;
+    if (due->next_step == due->schedule.num_steps()) {
+      shared.close_session(due->session, now);
+      due->done = true;
+      continue;
+    }
+    const std::optional<Seconds> end = shared.begin_step(
+        due->session, due->schedule, due->next_step, due->payload, now);
+    EXPECT_TRUE(end.has_value()) << "seed " << seed << " t=" << now.value();
+    if (!end) return run;
+    ++run.steps;
+    ++open_epoch;
+    ++due->next_step;
+    due->in_flight = true;
+    due->step_end = *end;
+    due->lag = rng.next_double() < load.lag_probability
+                   ? Seconds(load.max_lag * rng.next_double())
+                   : Seconds(0.0);
+    due->ready = *end + due->lag;
+    for (const SharedFabricTimer::Retiming& retiming :
+         shared.take_retimings()) {
+      for (Tenant& tenant : tenants) {
+        if (tenant.session == retiming.session) {
+          tenant.step_end = retiming.end;
+          tenant.ready = retiming.end + tenant.lag;
+        }
+      }
+    }
+  }
+  // The last close leaves the fabric idle, so no step stays in an open
+  // epoch.
+  EXPECT_EQ(open_epoch, 0u);
+  return run;
+}
+
+/// The epoch audit's contract on one finished sequence: every step logged
+/// and re-proven, one closed epoch per idle boundary the driver saw, and
+/// the log never longer than the longest of them.
+void expect_epoch_audit(const SharedFabricTimer& shared, const EpochRun& run) {
+  EXPECT_EQ(shared.active_sessions(), 0u);
+  EXPECT_EQ(shared.verify_replay(), 0u);
+  EXPECT_EQ(shared.logged_steps(), run.steps);
+  EXPECT_EQ(shared.checked_steps(), shared.logged_steps());
+  EXPECT_EQ(shared.epochs_closed(), run.boundaries);
+  EXPECT_EQ(shared.peak_held_steps(), run.longest_epoch);
+}
+
+ElectricalCluster sixteen_host_tree() {
+  return *ElectricalCluster::two_level_tree(16, 4, 4.0, test_params());
+}
+
+TEST(SharedFabricEpochs, FrequentIdleGapsCloseOneEpochPerGap) {
+  // Arrivals spread thinly enough that the fabric drains between bursts:
+  // many short epochs, and the log never holds more than one of them.
+  const ElectricalCluster cluster = sixteen_host_tree();
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    SharedFabricTimer shared(cluster);
+    const EpochRun run = run_epoch_load(
+        seed, EpochLoad{.tenants = 40, .arrival_span = 3.0}, shared);
+    expect_epoch_audit(shared, run);
+    EXPECT_GE(run.boundaries, 10u) << "seed " << seed;
+    EXPECT_LT(shared.peak_held_steps() * 2, shared.logged_steps())
+        << "seed " << seed;
+  }
+}
+
+TEST(SharedFabricEpochs, FabricThatNeverIdlesIsOneEpoch) {
+  // A background flow outlasts every other tenant, so no advance finds the
+  // fabric idle until its own close: the whole run is one epoch, held at
+  // once, exactly as a whole-horizon log would hold it.
+  const ElectricalCluster cluster = sixteen_host_tree();
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    SharedFabricTimer shared(cluster);
+    const EpochRun run = run_epoch_load(
+        seed,
+        EpochLoad{.tenants = 24, .arrival_span = 0.2, .background = true},
+        shared);
+    expect_epoch_audit(shared, run);
+    EXPECT_EQ(run.boundaries, 1u) << "seed " << seed;
+    EXPECT_EQ(shared.peak_held_steps(), shared.logged_steps());
+  }
+}
+
+TEST(SharedFabricEpochs, BoundaryWithAnotherSessionsStepDrainedButOpen) {
+  // Tenants often act well after their step drained (their completion
+  // event is late), so other tenants' advances close epochs while those
+  // steps are drained but not finalized.  Each is checked exactly once:
+  // at the boundary, from the live network's recorded completions.
+  const ElectricalCluster cluster = sixteen_host_tree();
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    SharedFabricTimer shared(cluster);
+    const EpochRun run = run_epoch_load(
+        seed,
+        EpochLoad{.tenants = 40,
+                  .arrival_span = 4.0,
+                  .lag_probability = 0.5,
+                  .max_lag = 0.1},
+        shared);
+    expect_epoch_audit(shared, run);
+    EXPECT_GT(run.unfinalized_boundaries, 0u) << "seed " << seed;
+  }
+}
+
+TEST(SharedFabricEpochs, DrainedStepLeftOpenAcrossABoundaryIsAMismatch) {
+  // A's step drains at ~1 ms; B begins at 5 ms on the idle fabric, which
+  // closes the epoch holding A's drained but unfinalized step.  Until A's
+  // session folds it, the step counts as a mismatch, as an unfinalized step
+  // always has; once folded, the verdict is clean.
+  const ElectricalCluster cluster = sixteen_host_tree();
+  SharedFabricTimer shared(cluster);
+  const auto a = shared.open_session();
+  const auto b = shared.open_session();
+  const coll::Schedule cross = pair_schedule({{0, 4}});
+  const Bytes payload(1'000'000);
+  const std::optional<Seconds> a_end =
+      shared.begin_step(a, cross, 0, payload, Seconds(0.0));
+  ASSERT_TRUE(a_end);
+  ASSERT_LT(*a_end, Seconds(0.005));
+  const std::optional<Seconds> b_end =
+      shared.begin_step(b, cross, 0, payload, Seconds(0.005));
+  ASSERT_TRUE(b_end);
+  EXPECT_EQ(shared.epochs_closed(), 1u);
+  EXPECT_EQ(shared.logged_steps(), 2u);
+  EXPECT_EQ(shared.checked_steps(), 2u);
+  // A's step (closed epoch) and B's in-flight step (open tail).
+  EXPECT_EQ(shared.verify_replay(), 2u);
+  shared.close_session(a, Seconds(0.005));
+  EXPECT_EQ(shared.verify_replay(), 1u);  // B's step is still in flight
+  shared.close_session(b, *b_end);
+  EXPECT_EQ(shared.verify_replay(), 0u);
+  EXPECT_EQ(shared.epochs_closed(), 2u);
+  EXPECT_EQ(shared.peak_held_steps(), 1u);
+}
+
+TEST(SharedFabricEpochs, AuditOffLogsNothing) {
+  const ElectricalCluster cluster = sixteen_host_tree();
+  SharedFabricTimer audited(cluster);
+  SharedFabricTimer unaudited(cluster, /*replay_audit=*/false);
+  const EpochLoad load{.tenants = 16, .arrival_span = 0.3};
+  const EpochRun run = run_epoch_load(5, load, audited);
+  const EpochRun same = run_epoch_load(5, load, unaudited);
+  EXPECT_EQ(same.steps, run.steps);
+  EXPECT_EQ(same.boundaries, run.boundaries);
+  EXPECT_EQ(unaudited.logged_steps(), 0u);
+  EXPECT_EQ(unaudited.checked_steps(), 0u);
+  EXPECT_EQ(unaudited.epochs_closed(), 0u);
+  EXPECT_EQ(unaudited.peak_held_steps(), 0u);
+  EXPECT_EQ(unaudited.verify_replay(), 0u);
 }
 
 TEST(FlowNetwork, RunUntilSplitsMatchOneShotRun) {

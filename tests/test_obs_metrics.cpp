@@ -34,8 +34,12 @@ TEST(MetricsRegistry, HandlesStayValidAsTheRegistryGrows) {
   Gauge* first_gauge = registry.gauge("first_gauge");
   first->increment(7);
   for (int i = 0; i < 500; ++i) {
-    (void)registry.counter("c" + std::to_string(i));
-    (void)registry.gauge("g" + std::to_string(i));
+    std::string counter_name = "c";
+    counter_name += std::to_string(i);
+    std::string gauge_name = "g";
+    gauge_name += std::to_string(i);
+    (void)registry.counter(counter_name);
+    (void)registry.gauge(gauge_name);
   }
   first->increment(3);
   first_gauge->set(2.5);

@@ -10,8 +10,9 @@
 // victim's original ToR (the remainder lands on the other ToR), and both
 // oracles over the remapped composite — the functional all-reduce oracle
 // (the runtime aborts if it fails, so completion is the verdict) and the
-// shared fabric's whole-horizon flow replay (replay_checked_steps must
-// cover every electrical step, remapped resumes included).
+// shared fabric's epoch flow replay (replay_checked_steps must cover every
+// electrical step, remapped resumes included, whichever epoch it closed
+// in).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,8 +186,8 @@ TEST(ElectricalPreemption, PinnedVictimSuspendsAndResumesUnderPriority) {
   // The urgent job did not wait for the victim to finish.
   EXPECT_LT(rt.record(vip).completed, rt.record(victim).completed);
   // Every electrical step — the victim's pre-preemption prefix, its
-  // remapped remainder, and the vip's run — was re-proven by the
-  // whole-horizon flow replay.
+  // remapped remainder, and the vip's run — was re-proven by the epoch
+  // flow replay.
   EXPECT_EQ(report.replay_checked_steps, report.electrical.steps);
 }
 

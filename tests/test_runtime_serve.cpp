@@ -7,7 +7,7 @@
 //      batched releases, head-offset admission queue) produces the SAME
 //      report as the naive event loop, on optical-only AND hybrid
 //      electrical-overflow configurations — with the shared fabric's
-//      whole-horizon replay audit re-proving every step.
+//      epoch replay audit re-proving every step.
 //
 // Doubles are compared with EXPECT_EQ on purpose: bit-identity is the
 // claim, not approximate agreement.
@@ -117,7 +117,7 @@ TEST(RuntimeServe, FlatAndNaiveReportsBitIdenticalOptical) {
 TEST(RuntimeServe, FlatAndNaiveBitIdenticalHybridElectricalOverflow) {
   // Overflow load spills onto the shared two-level electrical fabric, so
   // this run exercises the windowed flow-network clone, batched session
-  // retirement, AND the whole-horizon replay audit in both modes.
+  // retirement, AND the epoch replay audit in both modes.
   workload::WorkloadConfig w = small_workload(600, 4000.0);
   RuntimeConfig naive_cfg = base_config(/*flat=*/false);
   naive_cfg.placement = HybridPlacementPolicy::kElectricalOverflow;

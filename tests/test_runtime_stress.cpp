@@ -8,9 +8,9 @@
 //  * every submitted job terminates (kDone or kRejected) and the report's
 //    counters reconcile (per-substrate breakdowns sum to the totals);
 //  * every completion was proven by the functional all-reduce oracle, and
-//    on the shared fabric every step time was re-proven by the
-//    whole-horizon flow replay (the runtime aborts on either failing, so a
-//    returned report is itself the verdict — the counts assert they ran);
+//    on the shared fabric every step time was re-proven by the epoch flow
+//    replay (the runtime aborts on either failing, so a returned report is
+//    itself the verdict — the counts assert they ran);
 //  * a time-ordered sweep of the trace re-checks the spectrum contract
 //    after EVERY event: the wavelength bands of concurrently-running
 //    optical jobs are pairwise disjoint at every instant (cells never
@@ -48,6 +48,7 @@
 #include "obs/trace_export.hpp"
 #include "runtime/runtime.hpp"
 #include "util/random.hpp"
+#include "workload/generator.hpp"
 
 namespace wrht::runtime {
 namespace {
@@ -292,8 +293,8 @@ void audit_report(const CollectiveRuntime& rt, const RuntimeReport& report,
   EXPECT_EQ(std::max(report.optical.makespan, report.electrical.makespan),
             report.makespan);
 
-  // The shared fabric re-proved every one of its steps via the
-  // whole-horizon flow replay; the star has nothing to replay.
+  // The shared fabric re-proved every one of its steps via the epoch flow
+  // replay; the star has nothing to replay.
   if (config.electrical.fabric == ElectricalFabric::kTwoLevelShared) {
     EXPECT_EQ(report.replay_checked_steps, report.electrical.steps);
   } else {
@@ -474,6 +475,14 @@ void run_stress_seed(std::uint64_t seed, std::uint32_t num_jobs,
   audit_report(rt, report, config, num_jobs);
   audit_trace(rt, rt.trace());
   audit_slo(rt, report, registry, seed);
+  if (config.electrical.fabric == ElectricalFabric::kTwoLevelShared &&
+      report.electrical.steps > 0) {
+    // The audit replayed at least the epoch its last close ended, and its
+    // log never held more steps than the run made.
+    EXPECT_GE(registry.find_counter("fabric.replay_epochs")->value(), 1u);
+    EXPECT_LE(registry.find_gauge("fabric.replay_peak_held_steps")->value(),
+              static_cast<double>(report.electrical.steps));
+  }
   maybe_export_trace(rt, registry, seed);
 }
 
@@ -723,6 +732,52 @@ TEST(PriorityAging, AgedWaiterIsAdmittedWithinAHardBound) {
   // the whole stream, far past the bound.
   EXPECT_GT(starved_wait, bound);
   EXPECT_GT(starved_wait, 2.0 * aged_wait);
+}
+
+TEST(RuntimeStress, SharedFabricEpochAuditHoldsAFewEpochsNotTheRun) {
+  // A hybrid serve of several thousand Poisson jobs onto a 4:1 shared
+  // two-level fabric.  The fabric goes idle between bursts, so the replay
+  // audit closes many epochs; every step is still re-proven, while the log
+  // never holds more than a small fraction of the run's steps at once.
+  workload::WorkloadConfig w;
+  w.seed = 7;
+  w.num_jobs = 4000;
+  w.ring_size = 64;
+  w.mean_rate = 8000.0;
+  w.max_participants = 16;
+  w.payload_median = util::Bytes(256ULL * 1024);
+  w.max_payload = util::Bytes(16ULL * 1024 * 1024);
+  RuntimeConfig config;
+  config.ring_size = 64;
+  config.optical.wdm.num_wavelengths = 64;
+  config.placement = HybridPlacementPolicy::kCostModelChoice;
+  config.routing_cost_model = RoutingCostModel::kCongestionAware;
+  config.electrical.fabric = ElectricalFabric::kTwoLevelShared;
+  config.electrical.hosts_per_tor = 8;
+  config.electrical.oversubscription = 4.0;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+
+  workload::WorkloadGenerator source(w);
+  CollectiveRuntime rt(config);
+  const RuntimeReport report = rt.serve(source);
+  EXPECT_EQ(report.completed, 4000u);
+  ASSERT_GT(report.electrical.steps, 1000u);
+  EXPECT_EQ(report.replay_checked_steps, report.electrical.steps);
+
+  const obs::Counter* epochs = registry.find_counter("fabric.replay_epochs");
+  const obs::Gauge* peak = registry.find_gauge("fabric.replay_peak_held_steps");
+  ASSERT_NE(epochs, nullptr);
+  ASSERT_NE(peak, nullptr);
+  std::printf("shared-fabric audit: %llu steps in %llu epochs, peak held "
+              "%.0f\n",
+              static_cast<unsigned long long>(report.electrical.steps),
+              static_cast<unsigned long long>(epochs->value()),
+              peak->value());
+  EXPECT_GT(epochs->value(), 100u);
+  EXPECT_GE(peak->value(), 1.0);
+  EXPECT_LT(peak->value() * 10.0,
+            static_cast<double>(report.electrical.steps));
 }
 
 TEST(RuntimeStress, BackToBackSeedsAreIndependent) {

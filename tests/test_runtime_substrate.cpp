@@ -411,7 +411,7 @@ TEST(SharedFabricRuntime, TorContainedJobsMatchTheExclusiveStar) {
   }
   EXPECT_NEAR(shared_report.makespan.value(), star_report.makespan.value(),
               1e-9 * star_report.makespan.value());
-  // Every shared-fabric step was re-proven by the whole-horizon replay.
+  // Every shared-fabric step was re-proven by the epoch replay.
   EXPECT_EQ(shared_report.replay_checked_steps,
             shared_report.electrical.steps);
   EXPECT_EQ(star_report.replay_checked_steps, 0u);  // star has no oracle

@@ -86,8 +86,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          256u),
                        ::testing::Values(1u, 2u, 4u, 8u, 16u, 64u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_w" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 TEST(WrhtBuilder, PaperScalePoints) {

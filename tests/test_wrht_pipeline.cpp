@@ -85,9 +85,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4u, 16u, 64u),
                        ::testing::Values(1u, 2u, 5u, 16u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_w" +
-             std::to_string(std::get<1>(param_info.param)) + "_s" +
-             std::to_string(std::get<2>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(param_info.param));
+      name += "_s";
+      name += std::to_string(std::get<2>(param_info.param));
+      return name;
     });
 
 TEST(Pipeline, SingleSegmentMatchesUnmergedWrht) {

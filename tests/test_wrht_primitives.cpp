@@ -52,8 +52,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 5u, 16u, 33u, 64u, 128u),
                        ::testing::Values(2u, 8u, 64u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_w" +
-             std::to_string(std::get<1>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 class WrhtBroadcastSweep
@@ -79,9 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2u, 8u, 64u),
                        ::testing::Values(0u, 1u, 7u, 100u)),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_w" +
-             std::to_string(std::get<1>(param_info.param)) + "_r" +
-             std::to_string(std::get<2>(param_info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(param_info.param));
+      name += "_r";
+      name += std::to_string(std::get<2>(param_info.param));
+      return name;
     });
 
 TEST(WrhtReduce, RootIsTopRepresentative) {
